@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linesearch import LineSearchConfig, elf_line_search
-from .poly import Polynomial, _bisect, evaluate
+from .poly import Polynomial, evaluate, real_roots_in
 from .problems import BatchStream
 from .regression import FitReport, SampleSet
 from .seeding import RngStreams
@@ -123,33 +123,20 @@ def apply_decrease_factor(
     s_min: float,
     delta: float,
     bracket_end: float,
-    grid_cells: int = 10_000,
 ) -> float:
     """Back off from the fitted minimum to the smallest step past it whose
     fitted loss gives back a delta fraction of the improvement.
 
     Solves fit(s) = fit(s_min) + delta * (fit(0) - fit(s_min)) for the
-    smallest s > s_min by grid scan and bisection. Returns s_min itself when
-    delta is zero or no such crossing exists before bracket_end.
+    smallest real root s > s_min. Returns s_min itself when delta is zero or
+    no such root exists before bracket_end.
     """
     if delta == 0.0 or bracket_end <= s_min:
         return s_min
     target = evaluate(fit, s_min) + delta * (evaluate(fit, 0.0) - evaluate(fit, s_min))
-
-    def g(s):
-        return evaluate(fit, s) - target
-
-    grid = np.linspace(s_min, bracket_end, grid_cells + 1)
-    gvals = g(grid)
-    exact = grid[(gvals == 0.0) & (grid > s_min)]
-    candidates = list(exact)
-    crossing = np.nonzero(gvals[:-1] * gvals[1:] < 0.0)[0]
-    if crossing.size:
-        i = crossing[0]
-        candidates.append(_bisect(g, grid[i], grid[i + 1], tol=1e-13))
-    if not candidates:
-        return s_min
-    return float(min(candidates))
+    roots = real_roots_in(fit - target, (s_min, bracket_end))
+    roots = roots[roots > s_min]
+    return float(roots[0]) if roots.size else s_min
 
 
 def initial_grid_search(

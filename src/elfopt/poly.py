@@ -1,5 +1,6 @@
-"""Polynomials in one variable: evaluation, differentiation, and robust
-root/minimum location on bounded intervals via grid scan plus bisection."""
+"""Polynomials in one variable: evaluation, differentiation, and real roots
+on bounded intervals, from which the bracketed minimum and |p(s)| = target
+solves are read off."""
 
 from __future__ import annotations
 
@@ -8,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-# Grid-scan defaults: the brackets we search are always small and known, so a
-# fixed-resolution scan with bisection refinement beats general root solvers
-# on robustness for near-degenerate fits.
-DEFAULT_GRID_CELLS = 10_000
-BISECT_TOL = 1e-10
+# A companion-matrix eigenvalue counts as real when its imaginary part is at
+# most this fraction of the bracket's scale; a double real root comes back
+# as a conjugate pair about sqrt(machine epsilon) off the real axis.
+ROOT_IMAG_TOL = 1e-6
+NEWTON_POLISH_STEPS = 2
 # Two crossings whose anchor distances differ by less than this are a tie.
 TIE_TOL = 1e-8
 
@@ -43,6 +44,15 @@ class Polynomial:
     def __call__(self, s):
         return evaluate(self, s)
 
+    def __add__(self, constant: float) -> Polynomial:
+        """p + constant for a scalar constant: only c0 changes."""
+        coef = self.coefficients.copy()
+        coef[0] += constant
+        return Polynomial(coef)
+
+    def __sub__(self, constant: float) -> Polynomial:
+        return self + (-constant)
+
 
 def evaluate(p: Polynomial, s):
     """Evaluate p at s (scalar or array) by nested multiplication (Horner)."""
@@ -57,52 +67,60 @@ def derivative(p: Polynomial) -> Polynomial:
     return Polynomial(npoly.polyder(p.coefficients))
 
 
-def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL) -> float:
-    """Shrink [lo, hi] around a sign change of f; f(lo) and f(hi) must have
-    opposite (or zero) signs."""
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
+    """Sorted, distinct real roots of p inside the closed bracket [lo, hi].
 
-
-def closest_minimum_to_zero(
-    p: Polynomial,
-    bracket: tuple[float, float],
-    grid_cells: int = DEFAULT_GRID_CELLS,
-) -> tuple[float, float] | None:
-    """Locate the local minimum of p inside the bracket with smallest |s|.
-
-    Scans the derivative on a uniform grid for - to + sign changes and
-    refines each by bisection. Returns (s_min, p(s_min)), or None when no
-    local minimum lies in the bracket (degree <= 1, or monotone there).
+    Roots are the eigenvalues of p's companion matrix. The near-real ones in
+    the bracket are polished by Newton steps on p, and a polished root
+    replaces its eigenvalue only where it shrinks |p|. Constant polynomials,
+    the zero polynomial included, have no roots here.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         raise ValueError(f"bracket must be a finite non-empty interval, got {bracket}")
+    nonzero = np.flatnonzero(p.coefficients)
+    if nonzero.size == 0 or nonzero[-1] == 0:
+        return np.empty(0)
+    coef = p.coefficients[: nonzero[-1] + 1]
+    eigenvalues = npoly.polyroots(coef)
+    roots = eigenvalues.real[np.abs(eigenvalues.imag) <= ROOT_IMAG_TOL * max(abs(lo), abs(hi))]
+    roots = roots[(roots >= lo) & (roots <= hi)]
+
+    powers = np.arange(coef.size)
+    slope_coef = powers[1:] * coef[1:]
+
+    def values_and_slopes(s):
+        vander = s[:, None] ** powers
+        return vander @ coef, vander[:, :-1] @ slope_coef
+
+    values, slopes = values_and_slopes(roots)
+    polished, polished_values = roots, values
+    for _ in range(NEWTON_POLISH_STEPS):
+        step = np.divide(polished_values, slopes, out=np.zeros_like(slopes), where=slopes != 0.0)
+        polished = polished - step
+        polished_values, slopes = values_and_slopes(polished)
+    roots = np.where(np.abs(polished_values) < np.abs(values), polished, roots)
+    return np.unique(roots[(roots >= lo) & (roots <= hi)])
+
+
+def closest_minimum_to_zero(
+    p: Polynomial, bracket: tuple[float, float]
+) -> tuple[float, float] | None:
+    """Locate the local minimum of p inside the bracket with smallest |s|.
+
+    Minima are the roots of p' where p' turns from negative to positive; the
+    sign of p' is read between consecutive roots. Returns (s_min, p(s_min)),
+    or None when no local minimum lies in the bracket (degree <= 1, or
+    monotone there).
+    """
     dp = derivative(p)
-    if dp.degree == 0 and dp.coefficients[0] == 0.0:
+    roots = real_roots_in(dp, bracket)
+    edges = np.concatenate(([float(bracket[0])], roots, [float(bracket[1])]))
+    slopes = evaluate(dp, 0.5 * (edges[:-1] + edges[1:]))
+    minima = roots[(slopes[:-1] < 0.0) & (slopes[1:] > 0.0)]
+    if minima.size == 0:
         return None
-
-    grid = np.linspace(lo, hi, grid_cells + 1)
-    dvals = evaluate(dp, grid)
-    rising = np.nonzero((dvals[:-1] < 0.0) & (dvals[1:] >= 0.0))[0]
-    if rising.size == 0:
-        return None
-
-    candidates = [_bisect(lambda s: evaluate(dp, s), grid[i], grid[i + 1]) for i in rising]
-    s_min = float(min(candidates, key=abs))
+    s_min = float(minima[np.argmin(np.abs(minima))])
     return s_min, evaluate(p, s_min)
 
 
@@ -111,37 +129,18 @@ def solve_for_value_nearest(
     target: float,
     anchor: float,
     bracket: tuple[float, float],
-    grid_cells: int = DEFAULT_GRID_CELLS,
 ) -> float | None:
     """Find the s in the bracket closest to the anchor where |p(s)| == target.
 
-    Sign changes of |p(s)| - target are scanned on a uniform grid and refined
-    by bisection. Ties (two crossings equidistant from the anchor) resolve to
-    the larger s, which widens the sampling interval downstream. Returns None
-    when |p| never attains the target inside the bracket.
+    The candidates are the real roots of p - target and p + target. Ties (two
+    crossings equidistant from the anchor) resolve to the larger s, which
+    widens the sampling interval downstream. Returns None when |p| never
+    attains the target inside the bracket.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-        raise ValueError(f"bracket must be a finite non-empty interval, got {bracket}")
-
-    def g(s):
-        return np.abs(evaluate(p, s)) - target
-
-    grid = np.linspace(lo, hi, grid_cells + 1)
-    gvals = g(grid)
-
-    candidates = list(grid[gvals == 0.0])
-    crossing = np.nonzero(gvals[:-1] * gvals[1:] < 0.0)[0]
-    candidates.extend(
-        _bisect(g, grid[i], grid[i + 1], tol=1e-13) for i in crossing
+    candidates = np.union1d(
+        real_roots_in(p - target, bracket), real_roots_in(p + target, bracket)
     )
-    if not candidates:
+    if target < 0.0 or candidates.size == 0:
         return None
-
-    best = None
-    best_dist = np.inf
-    for s in candidates:
-        dist = abs(s - anchor)
-        if dist < best_dist - TIE_TOL or (abs(dist - best_dist) <= TIE_TOL and s > best):
-            best, best_dist = s, dist
-    return float(best)
+    distance = np.abs(candidates - anchor)
+    return float(candidates[distance <= distance.min() + TIE_TOL].max())

@@ -129,10 +129,14 @@ def select_degree_and_fit(
     last degree, and refit it on all samples.
 
     All degrees share one fold assignment (a single seeded shuffle) so the
-    stop rule compares errors on identical splits. If no increase occurs by
-    max_degree, max_degree itself is selected.
+    stop rule compares errors on identical splits. The sweep ends at
+    max_degree, or earlier at the degree the smallest training fold can
+    still determine (its size minus one); if no increase occurs by then,
+    that last degree is selected.
     """
     fold_indices = _fold_indices(len(samples), folds, rng)
+    smallest_train = len(samples) - max(len(test_idx) for test_idx in fold_indices)
+    max_degree = min(max_degree, smallest_train - 1)
     errors: list[float] = []
     last_error = np.inf
     chosen = max_degree

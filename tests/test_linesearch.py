@@ -37,6 +37,16 @@ def test_monotone_line_is_invalid():
     assert result.expected_improvement is None
 
 
+def test_degree_sweep_capped_by_smallest_training_fold():
+    # 6 samples in 5 folds: the largest test fold holds 2, so every degree
+    # above 3 would be fitted on too few training samples.
+    config = LineSearchConfig(k=1, n=5, folds=5)
+    for seed in range(50):
+        result = elf_line_search(lambda s: (s - 0.5) ** 4 - s, config, np.random.default_rng(seed))
+        assert result.batches_consumed == 6
+        assert result.fit.chosen_degree <= 3
+
+
 def test_noisy_batch_quadratics_match_average_curve_oracle():
     # per-batch quadratics a*(s-b)^2 + c; the true empirical curve is their
     # exact average, minimized here by brute force on a dense grid

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from elfopt.poly import (
     Polynomial,
     closest_minimum_to_zero,
     derivative,
     evaluate,
+    real_roots_in,
     solve_for_value_nearest,
 )
 
@@ -82,16 +86,20 @@ def _dense_grid_local_minimum_nearest_zero(p, lo, hi, resolution=1e-5):
 
 
 def test_quartic_minimum_matches_dense_grid_oracle():
-    # p' = (s - 0.5)(s - 2)(s - 3.5): minima at 0.5 and 3.5, maximum at 2
-    p = Polynomial([0.0, -3.5, 4.875, -2.0, 0.25])
-    dp = derivative(p)
-    np.testing.assert_allclose(evaluate(dp, np.array([0.5, 2.0, 3.5])), 0.0, atol=1e-12)
+    # Each case lists the roots of p'; the first is the minimum nearest zero.
+    # (0.5, 2, 3.5): minima at 0.5 and 3.5, maximum at 2.
+    # (0.50031, 0.50072, 3): a minimum and a maximum 4.1e-4 apart, closer
+    # than one cell of a 10,000-cell scan of (0, 10).
+    for derivative_roots in ((0.5, 2.0, 3.5), (0.50031, 0.50072, 3.0)):
+        p = Polynomial(npoly.polyint(npoly.polyfromroots(derivative_roots)))
+        dp = derivative(p)
+        np.testing.assert_allclose(evaluate(dp, np.array(derivative_roots)), 0.0, atol=1e-12)
 
-    oracle = _dense_grid_local_minimum_nearest_zero(p, 0.0, 10.0)
-    found = closest_minimum_to_zero(p, (0.0, 10.0))
-    assert found is not None
-    assert abs(found[0] - oracle) < 1e-4
-    assert abs(found[0] - 0.5) < 1e-6
+        oracle = _dense_grid_local_minimum_nearest_zero(p, 0.0, 10.0)
+        found = closest_minimum_to_zero(p, (0.0, 10.0))
+        assert found is not None
+        assert abs(found[0] - oracle) < 1e-4
+        assert abs(found[0] - derivative_roots[0]) < 1e-6
 
 
 def test_minimum_is_rising_derivative_crossing_and_closest_to_zero():
@@ -111,6 +119,30 @@ def test_minimum_is_rising_derivative_crossing_and_closest_to_zero():
         dvals = evaluate(dp, grid)
         rising = (dvals[:-1] < 0.0) & (dvals[1:] >= 0.0)
         assert not rising.any()
+
+
+# ---------------------------------------------------------------------------
+# real roots
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    first=st.floats(-2.0, 7.0),
+    gaps=st.lists(st.floats(0.5, 3.0), max_size=9),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_real_roots_in_returns_exactly_the_planted_roots(first, gaps, log_scale):
+    planted = first + np.cumsum([0.0, *gaps])
+    planted = planted[planted <= 7.0]
+    # A root on a bracket end may round to either side of it.
+    assume(np.all(np.minimum(np.abs(planted), np.abs(planted - 5.0)) > 1e-6))
+    p = Polynomial(10.0**log_scale * npoly.polyfromroots(planted))
+
+    found = real_roots_in(p, (0.0, 5.0))
+
+    expected = planted[(planted >= 0.0) & (planted <= 5.0)]
+    assert found.shape == expected.shape
+    np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
