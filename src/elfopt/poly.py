@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-# A companion-matrix eigenvalue counts as real when its imaginary part is at
-# most this fraction of the bracket's scale; a double real root comes back
-# as a conjugate pair about sqrt(machine epsilon) off the real axis.
+# A companion-matrix eigenvalue counts as real, and two real roots count as
+# one, within this fraction of the bracket's scale: a double real root comes
+# back as a conjugate pair or two reals about sqrt(machine epsilon) apart.
 ROOT_IMAG_TOL = 1e-6
 NEWTON_POLISH_STEPS = 2
 # Two crossings whose anchor distances differ by less than this are a tie.
@@ -72,8 +72,9 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
 
     Roots are the eigenvalues of p's companion matrix. The near-real ones in
     the bracket are polished by Newton steps on p, and a polished root
-    replaces its eigenvalue only where it shrinks |p|. Constant polynomials,
-    the zero polynomial included, have no roots here.
+    replaces its eigenvalue only where it shrinks |p|. A cluster of roots
+    within the tolerance (a multiple root) is returned once, as its smallest.
+    Constant polynomials, the zero polynomial included, have no roots here.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
@@ -83,7 +84,8 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
         return np.empty(0)
     coef = p.coefficients[: nonzero[-1] + 1]
     eigenvalues = npoly.polyroots(coef)
-    roots = eigenvalues.real[np.abs(eigenvalues.imag) <= ROOT_IMAG_TOL * max(abs(lo), abs(hi))]
+    tolerance = ROOT_IMAG_TOL * max(abs(lo), abs(hi))
+    roots = eigenvalues.real[np.abs(eigenvalues.imag) <= tolerance]
     roots = roots[(roots >= lo) & (roots <= hi)]
 
     powers = np.arange(coef.size)
@@ -100,7 +102,8 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
         polished = polished - step
         polished_values, slopes = values_and_slopes(polished)
     roots = np.where(np.abs(polished_values) < np.abs(values), polished, roots)
-    return np.unique(roots[(roots >= lo) & (roots <= hi)])
+    roots = np.unique(roots[(roots >= lo) & (roots <= hi)])
+    return roots[np.diff(roots, prepend=-np.inf) > tolerance]
 
 
 def closest_minimum_to_zero(

@@ -1,9 +1,10 @@
 """Ordinary least-squares polynomial fitting with k-fold cross-validated
 degree selection.
 
-Positions are rescaled to [-1, 1] before the design matrix is built so that
-high-degree Vandermonde systems stay well conditioned; the solution is mapped
-back so returned coefficients always apply to raw positions.
+Positions are rescaled to [-1, 1] so that high-degree Vandermonde systems stay
+well conditioned. Cross-validation reads every degree's fit off one QR factor
+of each training fold's design matrix; only the final refit maps its solution
+back to coefficients on raw positions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Polynomial
+
+# A CV error that does not fall by more than this fraction of mean(losses**2)
+# counts as a rise; on exact-fit data smaller differences are rounding noise.
+STOP_RULE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,9 +45,9 @@ class SampleSet:
 class FitReport:
     """Outcome of cross-validated degree selection.
 
-    cv_test_errors holds the mean squared test error of every degree that was
-    tried, in degree order; chosen_degree always equals the refit polynomial's
-    degree.
+    cv_test_errors holds the mean squared test error of each degree from 0 to
+    the one that ended the sweep; chosen_degree always equals the refit
+    polynomial's degree.
     """
 
     polynomial: Polynomial
@@ -59,26 +64,19 @@ def _rescaling(positions: np.ndarray) -> tuple[float, float]:
     return mid, (half if half > 0.0 else 1.0)
 
 
-def _design_matrix(scaled: np.ndarray, degree: int) -> np.ndarray:
-    return np.vander(scaled, degree + 1, increasing=True)
-
-
 def fit_polynomial(degree: int, samples: SampleSet) -> Polynomial:
     """Least-squares polynomial of the given degree through the samples.
 
     The solve uses an orthogonal decomposition (SVD-backed lstsq) on the
     rescaled basis, never bare normal equations. Coefficients are returned in
-    raw-position units.
+    raw-position units. Degree selection calls this once, for its refit.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if len(samples) < degree + 1:
-        raise ValueError(
-            f"need at least degree+1={degree + 1} samples, got {len(samples)}"
-        )
+        raise ValueError(f"need at least degree+1={degree + 1} samples, got {len(samples)}")
     mid, half = _rescaling(samples.positions)
-    scaled = (samples.positions - mid) / half
-    design = _design_matrix(scaled, degree)
+    design = np.vander((samples.positions - mid) / half, degree + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(design, samples.losses, rcond=None)
     # Map q(u) back to raw s by composing with u = (s - mid) / half.
     q = np.polynomial.Polynomial(coef)
@@ -90,21 +88,30 @@ def fit_polynomial(degree: int, samples: SampleSet) -> Polynomial:
 
 def _fold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
     """One seeded shuffle, then a contiguous near-equal split."""
-    perm = rng.permutation(n)
-    return np.array_split(perm, folds)
+    return np.array_split(rng.permutation(n), folds)
 
 
-def _cv_error(samples: SampleSet, degree: int, fold_indices: list[np.ndarray]) -> float:
-    """Mean over folds of the mean squared test error, accumulated in fold
-    order so results do not depend on evaluation order."""
-    total = 0.0
+def _max_determinable_degree(samples: SampleSet, fold_indices: list[np.ndarray]) -> int:
+    """Fewest distinct positions in any training fold, minus one."""
+    return min(np.unique(np.delete(samples.positions, t)).size for t in fold_indices) - 1
+
+
+def _cv_errors(samples: SampleSet, max_degree: int, fold_indices: list[np.ndarray]) -> np.ndarray:
+    """Mean over folds, in fold order, of each degree's mean squared test error.
+
+    Each training fold's design matrix V, on the fold's own rescaled basis, is
+    factorized once as V = QR. R is upper triangular, so degree d's fit solves
+    R's leading (d+1)x(d+1) block against (Q^T y)[:d+1], and its prediction is
+    the sum over j <= d of column j of V_test R^-1 times (Q^T y)[j].
+    """
+    total = np.zeros(max_degree + 1)
     for test_idx in fold_indices:
-        mask = np.ones(len(samples), dtype=bool)
-        mask[test_idx] = False
-        train = SampleSet(samples.positions[mask], samples.losses[mask])
-        fit = fit_polynomial(degree, train)
-        residual = fit(samples.positions[test_idx]) - samples.losses[test_idx]
-        total += float(np.mean(residual**2))
+        mid, half = _rescaling(np.delete(samples.positions, test_idx))
+        design = np.vander((samples.positions - mid) / half, max_degree + 1, increasing=True)
+        q, r = np.linalg.qr(np.delete(design, test_idx, axis=0))
+        weights = np.linalg.inv(r) * (q.T @ np.delete(samples.losses, test_idx))
+        predictions = np.cumsum(design[test_idx] @ weights, axis=1)
+        total += np.mean((predictions - samples.losses[test_idx, None]) ** 2, axis=0)
     return total / len(fold_indices)
 
 
@@ -116,39 +123,29 @@ def kfold_cv_error(
         raise ValueError("folds must be >= 2")
     if len(samples) < folds:
         raise ValueError(f"need at least {folds} samples for {folds}-fold CV")
-    return _cv_error(samples, degree, _fold_indices(len(samples), folds, rng))
+    fold_indices = _fold_indices(len(samples), folds, rng)
+    highest = _max_determinable_degree(samples, fold_indices)
+    if not 0 <= degree <= highest:
+        raise ValueError(f"degree must be in 0..{highest}, as set by the training folds")
+    return float(_cv_errors(samples, degree, fold_indices)[degree])
 
 
 def select_degree_and_fit(
-    samples: SampleSet,
-    max_degree: int,
-    folds: int,
-    rng: np.random.Generator,
+    samples: SampleSet, max_degree: int, folds: int, rng: np.random.Generator
 ) -> FitReport:
     """Increase the degree until the CV test error rises, keep the second
     last degree, and refit it on all samples.
 
-    All degrees share one fold assignment (a single seeded shuffle) so the
-    stop rule compares errors on identical splits. The sweep ends at
-    max_degree, or earlier at the degree the smallest training fold can
-    still determine (its size minus one); if no increase occurs by then,
+    All degrees share one fold assignment (a single seeded shuffle), and a
+    fall of at most STOP_RULE_TOL * mean(losses**2) counts as a rise. The
+    sweep ends at max_degree, or earlier at the degree every training fold
+    can determine (its distinct positions minus one); with no rise by then,
     that last degree is selected.
     """
     fold_indices = _fold_indices(len(samples), folds, rng)
-    smallest_train = len(samples) - max(len(test_idx) for test_idx in fold_indices)
-    max_degree = min(max_degree, smallest_train - 1)
-    errors: list[float] = []
-    last_error = np.inf
-    chosen = max_degree
-    for degree in range(max_degree + 1):
-        error = _cv_error(samples, degree, fold_indices)
-        errors.append(error)
-        if last_error < error:
-            chosen = degree - 1
-            break
-        if degree == max_degree:
-            chosen = max_degree
-            break
-        last_error = error
+    max_degree = min(max_degree, _max_determinable_degree(samples, fold_indices))
+    errors = _cv_errors(samples, max_degree, fold_indices)
+    tol = STOP_RULE_TOL * float(np.mean(samples.losses**2))
+    chosen = next((d for d in range(max_degree) if errors[d + 1] >= errors[d] - tol), max_degree)
     refit = fit_polynomial(chosen, samples)
-    return FitReport(polynomial=refit, chosen_degree=chosen, cv_test_errors=np.array(errors))
+    return FitReport(polynomial=refit, chosen_degree=chosen, cv_test_errors=errors[: chosen + 2])

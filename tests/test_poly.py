@@ -102,6 +102,17 @@ def test_quartic_minimum_matches_dense_grid_oracle():
         assert abs(found[0] - derivative_roots[0]) < 1e-6
 
 
+def test_minimum_skips_a_double_root_of_the_derivative():
+    # p' = (s - r)^2 (s - 3) keeps its sign through r: a flat inflection of
+    # p, not a minimum. The double root of (s - 1)^2 comes back as two reals
+    # about 1e-8 apart, with rounding noise for the sign between them.
+    for double_root in (1.0, 0.7):
+        p = Polynomial(npoly.polyint(npoly.polyfromroots((double_root, double_root, 3.0))))
+        found = closest_minimum_to_zero(p, (0.0, 5.0))
+        assert found is not None
+        assert found[0] == pytest.approx(3.0, abs=1e-9)
+
+
 def test_minimum_is_rising_derivative_crossing_and_closest_to_zero():
     rng = np.random.default_rng(11)
     for _ in range(50):

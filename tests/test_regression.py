@@ -3,6 +3,8 @@ against explicit normal-equations and materialized-fold oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elfopt.regression import (
     SampleSet,
@@ -209,6 +211,68 @@ def test_chosen_degree_matches_rule_enumeration_oracle():
         oracle = _enumerate_stop_rule(positions, losses, 10, 5, seed)
         assert report.chosen_degree == oracle
         assert report.cv_test_errors.size >= report.chosen_degree + 1
+
+
+def test_exact_polynomials_pick_their_true_degree():
+    # 1 + s + ... + s^d on [0, 2]: each degree up to d fits clearly better
+    # than the one below, and every degree from d up fits to rounding noise,
+    # in which the stop rule must not read an order.
+    positions = np.random.default_rng(0).uniform(0.0, 2.0, 200)
+    for true_degree in range(5):
+        losses = np.polynomial.polynomial.polyval(positions, np.ones(true_degree + 1))
+        samples = SampleSet(positions, losses)
+        chosen = [
+            select_degree_and_fit(samples, 8, 5, np.random.default_rng(seed)).chosen_degree
+            for seed in range(40)
+        ]
+        assert chosen == [true_degree] * 40
+
+
+def test_all_equal_positions_give_the_mean():
+    losses = np.random.default_rng(4).normal(size=20)
+    report = select_degree_and_fit(SampleSet(np.zeros(20), losses), 10, 5, np.random.default_rng(0))
+    assert report.chosen_degree == 0
+    np.testing.assert_allclose(report.polynomial.coefficients, [losses.mean()], rtol=1e-12)
+
+
+def test_degree_capped_by_distinct_positions():
+    rng = np.random.default_rng(6)
+    positions = np.tile([0.0, 0.5, 2.0], 10)
+    losses = positions**3 + rng.normal(scale=0.1, size=positions.size)
+    for seed in range(20):
+        report = select_degree_and_fit(SampleSet(positions, losses), 10, 5, np.random.default_rng(seed))
+        assert report.chosen_degree <= 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(5, 300),
+    folds=st.integers(2, 10),
+    max_degree=st.integers(0, 10),
+    log_span=st.floats(-4.0, 3.0),
+    offset_in_spans=st.sampled_from([0.0, -0.5, 3.0, 1e3]),
+    noise=st.floats(1e-3, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_cv_errors_and_chosen_degree_match_oracles(
+    n, folds, max_degree, log_span, offset_in_spans, noise, seed
+):
+    folds = min(folds, n)
+    rng = np.random.default_rng(seed)
+    span = 10.0**log_span
+    unit = rng.uniform(0.0, 1.0, n)
+    positions = span * (offset_in_spans + unit)
+    curve = np.polynomial.polynomial.polyval(unit, rng.normal(size=rng.integers(1, 6)))
+    losses = curve + noise * rng.normal(size=n)
+
+    report = select_degree_and_fit(SampleSet(positions, losses), max_degree, folds,
+                                   np.random.default_rng(seed))
+    for degree, error in enumerate(report.cv_test_errors):
+        assert error == pytest.approx(_explicit_fold_cv(positions, losses, degree, folds, seed),
+                                      rel=1e-6)
+    smallest_train = n - int(np.ceil(n / folds))   # positions are distinct
+    capped = min(max_degree, smallest_train - 1)
+    assert report.chosen_degree == _enumerate_stop_rule(positions, losses, capped, folds, seed)
 
 
 def test_selection_is_deterministic():
