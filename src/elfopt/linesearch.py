@@ -36,6 +36,10 @@ class LineSearchConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.folds < 2:
+            raise ValueError("folds must be >= 2")
+        if self.max_degree < 0:
+            raise ValueError("max_degree must be >= 0")
         if self.n < self.folds:
             raise ValueError("n must be >= folds")
         if self.initial_interval_width <= 0.0:

@@ -2,14 +2,17 @@
 degree selection.
 
 Positions are rescaled to [-1, 1] so that high-degree Vandermonde systems stay
-well conditioned. Cross-validation reads every degree's fit off one QR factor
-of each training fold's design matrix; only the final refit maps its solution
-back to coefficients on raw positions.
+well conditioned. Cross-validation factorizes the design matrix of all samples
+once (QR) and gets each training fold's fit of every degree from a Cholesky
+downdate of that factor by the fold's test rows; the degrees are swept only as
+far as the stop rule needs. Only the final refit maps its solution back to
+coefficients on raw positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -18,6 +21,14 @@ from .poly import Polynomial
 # A CV error that does not fall by more than this fraction of mean(losses**2)
 # counts as a rise; on exact-fit data smaller differences are rounding noise.
 STOP_RULE_TOL = 1e-12
+
+# A training fold cannot determine column j (degree j) when its downdated pivot
+# is at most this: the squared norm that Q's column j, of unit norm over all
+# samples, keeps on the fold's training rows once the lower columns are
+# projected out there. A fold with m distinct positions, of more among all
+# samples, has a zero pivot at column m; on real line searches the smallest
+# pivot is about 0.15.
+PIVOT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,12 +75,27 @@ def _rescaling(positions: np.ndarray) -> tuple[float, float]:
     return mid, (half if half > 0.0 else 1.0)
 
 
+def _raw_coefficients(coef: np.ndarray, mid: float, half: float) -> np.ndarray:
+    """Coefficients in s of q((s - mid) / half), where coef holds q's: Horner's
+    rule on plain floats, raw <- raw * (a + b*s) + c_j with a = -mid/half and
+    b = 1/half, from q's highest coefficient down. The result equals
+    np.polynomial's composition of q with a + b*s bit for bit."""
+    a, b = -mid / half, 1.0 / half
+    raw = [0.0] * coef.size
+    for c in coef[::-1].tolist():
+        raw = [raw[0] * a + c] + [hi * a + lo * b for hi, lo in zip(raw[1:], raw)]
+    # + 0.0 turns -0.0 into 0.0; np.polynomial's convolution sums start
+    # from 0.0 and never return -0.0.
+    return np.array(raw) + 0.0
+
+
 def fit_polynomial(degree: int, samples: SampleSet) -> Polynomial:
     """Least-squares polynomial of the given degree through the samples.
 
     The solve uses an orthogonal decomposition (SVD-backed lstsq) on the
     rescaled basis, never bare normal equations. Coefficients are returned in
-    raw-position units. Degree selection calls this once, for its refit.
+    raw-position units, mapped back by _raw_coefficients. Degree selection
+    calls this once, for its refit.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -78,56 +104,88 @@ def fit_polynomial(degree: int, samples: SampleSet) -> Polynomial:
     mid, half = _rescaling(samples.positions)
     design = np.vander((samples.positions - mid) / half, degree + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(design, samples.losses, rcond=None)
-    # Map q(u) back to raw s by composing with u = (s - mid) / half.
-    q = np.polynomial.Polynomial(coef)
-    raw = q(np.polynomial.Polynomial([-mid / half, 1.0 / half])).coef
-    if raw.size < degree + 1:
-        raw = np.pad(raw, (0, degree + 1 - raw.size))
-    return Polynomial(raw)
+    return Polynomial(_raw_coefficients(coef, mid, half))
 
 
-def _fold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """One seeded shuffle, then a contiguous near-equal split."""
-    return np.array_split(rng.permutation(n), folds)
+def _fold_indices(n: int, folds: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One seeded shuffle, then a contiguous near-equal split, the larger
+    folds first (np.array_split's split). Returns each fold's test rows as a
+    row of a (folds, smallest fold + 1) array, padded with n, and the fold
+    sizes."""
+    order = rng.permutation(n)
+    size, larger = divmod(n, folds)
+    cut = larger * (size + 1)
+    test_rows = np.full((folds, size + 1), n)
+    test_rows[:larger] = order[:cut].reshape(larger, size + 1)
+    test_rows[larger:, :size] = order[cut:].reshape(folds - larger, size)
+    return test_rows, np.where(np.arange(folds) < larger, size + 1, size)
 
 
-def _max_determinable_degree(samples: SampleSet, fold_indices: list[np.ndarray]) -> int:
-    """Fewest distinct positions in any training fold, minus one."""
-    return min(np.unique(np.delete(samples.positions, t)).size for t in fold_indices) - 1
+def _cv_errors(
+    samples: SampleSet, max_degree: int, folds: int, rng: np.random.Generator
+) -> Iterator[float]:
+    """Yield each degree's CV error in turn, from degree 0 up to max_degree or
+    to the last degree the samples and every training fold determine: the
+    mean over folds, in fold order, of the degree's mean squared test error.
 
-
-def _cv_errors(samples: SampleSet, max_degree: int, fold_indices: list[np.ndarray]) -> np.ndarray:
-    """Mean over folds, in fold order, of each degree's mean squared test error.
-
-    Each training fold's design matrix V, on the fold's own rescaled basis, is
-    factorized once as V = QR. R is upper triangular, so degree d's fit solves
-    R's leading (d+1)x(d+1) block against (Q^T y)[:d+1], and its prediction is
-    the sum over j <= d of column j of V_test R^-1 times (Q^T y)[j].
+    The full design V, on the rescaled basis of all samples, is factorized
+    once as V = QR. In Q's coordinates fold k's training Gram matrix is the
+    downdate M = I - Q_t^T Q_t by Q's test rows Q_t, and its right-hand side
+    is g = Q^T y - Q_t^T y_t. One column loop Cholesky-factorizes every
+    fold's M = U^T U at once, carrying g and Q_t^T along: row j of the factor
+    also holds z_j = (U^-T g)_j and column j of Q_t U^-1. Leading blocks
+    nest, so degree d's test predictions are the running sum over j <= d of
+    z_j times column j of Q_t U^-1; a last row carries the test residuals.
+    The loop stops at the first column the samples cannot determine: one
+    within rounding of the span of the lower columns over all samples
+    (|R_jj| <= n * eps * |V_j|, the tolerance of numpy's matrix_rank), or one
+    on which some fold's downdated pivot is at most PIVOT_TOL.
     """
-    total = np.zeros(max_degree + 1)
-    for test_idx in fold_indices:
-        mid, half = _rescaling(np.delete(samples.positions, test_idx))
-        design = np.vander((samples.positions - mid) / half, max_degree + 1, increasing=True)
-        q, r = np.linalg.qr(np.delete(design, test_idx, axis=0))
-        weights = np.linalg.inv(r) * (q.T @ np.delete(samples.losses, test_idx))
-        predictions = np.cumsum(design[test_idx] @ weights, axis=1)
-        total += np.mean((predictions - samples.losses[test_idx, None]) ** 2, axis=0)
-    return total / len(fold_indices)
+    n = len(samples)
+    columns = min(max_degree + 1, n)   # more columns than samples are dependent
+    test_rows, sizes = _fold_indices(n, folds, rng)
+    mid, half = _rescaling(samples.positions)
+    design = np.vander((samples.positions - mid) / half, columns, increasing=True)
+    q, r = np.linalg.qr(design)
+    # |V_j| = |R_:j|, as Q has orthonormal columns.
+    rank_tol = n * np.finfo(float).eps * np.linalg.norm(r, axis=0)
+    dependent = (np.abs(np.diag(r)) <= rank_tol).tolist()
+    # [Q_t | y_t] per fold, zero rows as padding, and from it every fold's
+    # [[M, g, Q_t^T], [g^T, unused, y_t^T]].
+    qy = np.zeros((n + 1, columns + 1))
+    qy[:n, :columns], qy[:n, columns] = q, samples.losses
+    test_t = qy[test_rows].transpose(0, 2, 1)
+    head = np.eye(columns + 1)
+    head[:columns, columns] = head[columns, :columns] = q.T @ samples.losses
+    augmented = np.concatenate([head - test_t @ test_t.transpose(0, 2, 1), test_t], axis=2)
+    for j in range(columns):
+        pivot = augmented[:, j, j]
+        if dependent[j] or pivot.min() <= PIVOT_TOL:
+            return
+        row = augmented[:, j, j + 1 :] / np.sqrt(pivot)[:, None]
+        augmented[:, j + 1 :, j + 1 :] -= row[:, : columns - j, None] * row[:, None, :]
+        residuals = augmented[:, columns, columns + 1 :]
+        yield sum((np.sum(residuals**2, axis=1) / sizes).tolist()) / folds
+
+
+def _check_cv_arguments(degree: int, samples: SampleSet, folds: int) -> None:
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    if len(samples) < folds:
+        raise ValueError(f"need at least {folds} samples for {folds}-fold CV")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
 
 
 def kfold_cv_error(
     degree: int, samples: SampleSet, folds: int, rng: np.random.Generator
 ) -> float:
     """k-fold cross-validation MSE for a polynomial of the given degree."""
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    if len(samples) < folds:
-        raise ValueError(f"need at least {folds} samples for {folds}-fold CV")
-    fold_indices = _fold_indices(len(samples), folds, rng)
-    highest = _max_determinable_degree(samples, fold_indices)
-    if not 0 <= degree <= highest:
-        raise ValueError(f"degree must be in 0..{highest}, as set by the training folds")
-    return float(_cv_errors(samples, degree, fold_indices)[degree])
+    _check_cv_arguments(degree, samples, folds)
+    errors = list(_cv_errors(samples, degree, folds, rng))
+    if len(errors) <= degree:
+        raise ValueError(f"degree must be in 0..{len(errors) - 1}, as set by the training folds")
+    return errors[degree]
 
 
 def select_degree_and_fit(
@@ -138,14 +196,19 @@ def select_degree_and_fit(
 
     All degrees share one fold assignment (a single seeded shuffle), and a
     fall of at most STOP_RULE_TOL * mean(losses**2) counts as a rise. The
-    sweep ends at max_degree, or earlier at the degree every training fold
-    can determine (its distinct positions minus one); with no rise by then,
+    sweep ends at max_degree, or earlier at the last degree the samples and
+    every training fold determine (see _cv_errors); with no rise by then,
     that last degree is selected.
     """
-    fold_indices = _fold_indices(len(samples), folds, rng)
-    max_degree = min(max_degree, _max_determinable_degree(samples, fold_indices))
-    errors = _cv_errors(samples, max_degree, fold_indices)
+    _check_cv_arguments(max_degree, samples, folds)
     tol = STOP_RULE_TOL * float(np.mean(samples.losses**2))
-    chosen = next((d for d in range(max_degree) if errors[d + 1] >= errors[d] - tol), max_degree)
+    errors: list[float] = []
+    for error in _cv_errors(samples, max_degree, folds, rng):
+        errors.append(error)
+        if len(errors) > 1 and error >= errors[-2] - tol:
+            chosen = len(errors) - 2
+            break
+    else:
+        chosen = len(errors) - 1
     refit = fit_polynomial(chosen, samples)
-    return FitReport(polynomial=refit, chosen_degree=chosen, cv_test_errors=errors[: chosen + 2])
+    return FitReport(polynomial=refit, chosen_degree=chosen, cv_test_errors=np.array(errors))

@@ -159,6 +159,14 @@ def test_unknown_set_key_exits_1(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["elf.line.folds=1", "elf.line.max_degree=-1"])
+def test_line_search_config_errors_exit_1_before_training(tmp_path, capsys, setting):
+    out = tmp_path / "nothing"
+    assert main([*FAST_ELF, "--set", setting, "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_sub_streams_do_not_perturb_each_other(tmp_path):
     # changing how much randomness the line search consumes must not change
     # the dataset, the initial parameters, or the batch order: the grid-search

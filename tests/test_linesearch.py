@@ -2,6 +2,7 @@
 loss oracles."""
 
 import numpy as np
+import pytest
 
 from elfopt.linesearch import (
     LineSearchConfig,
@@ -45,6 +46,12 @@ def test_degree_sweep_capped_by_smallest_training_fold():
         result = elf_line_search(lambda s: (s - 0.5) ** 4 - s, config, np.random.default_rng(seed))
         assert result.batches_consumed == 6
         assert result.fit.chosen_degree <= 3
+
+
+@pytest.mark.parametrize("field", [{"folds": 1}, {"max_degree": -1}])
+def test_config_rejects_too_few_folds_and_negative_max_degree(field):
+    with pytest.raises(ValueError):
+        LineSearchConfig(**field)
 
 
 def test_noisy_batch_quadratics_match_average_curve_oracle():

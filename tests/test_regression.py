@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from elfopt.regression import (
     SampleSet,
+    _raw_coefficients,
     fit_polynomial,
     kfold_cv_error,
     select_degree_and_fit,
@@ -95,6 +96,35 @@ def test_full_degree_interpolates():
         losses = rng.uniform(-5.0, 5.0, n)
         fit = fit_polynomial(n - 1, SampleSet(positions, losses))
         np.testing.assert_allclose(fit(positions), losses, rtol=1e-6, atol=1e-6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    coef=st.lists(
+        st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=11,
+    ),
+    zero_leading=st.booleans(),
+    log_half=st.floats(-4.0, 3.0),
+    offset_in_halves=st.sampled_from([0.0, -0.5, 3.0, 1e3, -1e3]),
+    shift=st.floats(-1.0, 1.0),
+)
+def test_raw_mapping_matches_polynomial_composition(coef, zero_leading, log_half,
+                                                    offset_in_halves, shift):
+    # Reference: compose q with u = (s - mid) / half through np.polynomial,
+    # padding the trailing zeros it trims. The Horner loop must agree bit
+    # for bit, so that refits, and the decisions made on them, do not move.
+    coef = np.array(coef)
+    if zero_leading:
+        coef[-1] = 0.0
+    half = 10.0**log_half
+    mid = half * (offset_in_halves + shift)
+    u = np.polynomial.Polynomial([-mid / half, 1.0 / half])
+    reference = np.polynomial.Polynomial(coef)(u).coef
+    reference = np.pad(reference, (0, coef.size - reference.size))
+    ours = _raw_coefficients(coef, mid, half)
+    np.testing.assert_array_equal(ours, reference)
+    np.testing.assert_array_equal(np.signbit(ours), np.signbit(reference))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +272,40 @@ def test_degree_capped_by_distinct_positions():
     for seed in range(20):
         report = select_degree_and_fit(SampleSet(positions, losses), 10, 5, np.random.default_rng(seed))
         assert report.chosen_degree <= 2
+
+
+def test_near_degenerate_samples_keep_the_reference_degrees():
+    # Chosen degrees at fold seeds 0-19 from the previous implementation,
+    # which factorized every training fold on its own and capped the sweep
+    # by the distinct positions in the poorest training fold. Each set has a
+    # column that some training fold, or all samples, can barely or not at
+    # all determine.
+    clusters = np.random.default_rng(0)
+    sets = {
+        "1 and 1+1e-15": (np.r_[np.zeros(30), np.ones(30), 1 + 1e-15, 0.5], "1" * 20),
+        "1e-12-wide clusters": (np.r_[clusters.uniform(0.0, 1e-12, 30),
+                                      1.0 + clusters.uniform(0.0, 1e-12, 30)],
+                                "11111111211111113311"),
+        "1e-9-wide cluster and one far point": (np.r_[np.linspace(0.0, 1e-9, 60), 1.0],
+                                                "0" * 20),
+        "all zero": (np.zeros(20), "0" * 20),
+        "3 distinct repeated": (np.tile([0.0, 0.5, 2.0], 10), "2" * 20),
+    }
+    for name, (positions, expected) in sets.items():
+        losses = positions**2 + 0.1 * np.random.default_rng(1).normal(size=positions.size)
+        samples = SampleSet(positions, losses)
+        chosen = "".join(
+            str(select_degree_and_fit(samples, 10, 5, np.random.default_rng(seed)).chosen_degree)
+            for seed in range(20)
+        )
+        assert chosen == expected, name
+
+
+def test_selection_rejects_bad_fold_counts_and_negative_max_degree():
+    samples = SampleSet(np.linspace(0.0, 1.0, 20), np.linspace(0.0, 1.0, 20) ** 2)
+    for max_degree, folds in ((10, 1), (-1, 5), (10, 21)):
+        with pytest.raises(ValueError):
+            select_degree_and_fit(samples, max_degree, folds, np.random.default_rng(0))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
