@@ -2,73 +2,30 @@
 batch losses sampled along the negative-gradient direction and step to the
 fitted minimum."""
 
-from .baselines import BaselineConfig, StepDecaySchedule, adam_step, init_adam, init_sgd, run_baseline, sgd_step
-from .controller import (
-    DivergenceError,
-    ElfConfig,
-    OptimizerState,
-    TrainingLog,
-    apply_decrease_factor,
-    initial_grid_search,
-    run,
-    search_trigger,
-    trigger_line_searches,
-)
-from .linesearch import LineSearchConfig, LineSearchResult, chose_sample_interval, elf_line_search
-from .poly import Polynomial, closest_minimum_to_zero, derivative, evaluate, solve_for_value_nearest
-from .problems import (
-    BatchStream,
-    CrossSectionProfile,
-    LogisticBlobs,
-    MlpBlobs,
-    NoisyQuadraticEnsemble,
-    cross_section_profile,
-    empirical_loss,
-)
-from .regression import FitReport, SampleSet, fit_polynomial, kfold_cv_error, select_degree_and_fit
-from .seeding import RngStreams, rng_streams, substream
+from .baselines import BaselineConfig, StepDecaySchedule, run_baseline
+from .controller import DivergenceError, ElfConfig, run
+from .linesearch import LineSearchConfig, elf_line_search
+from .problems import LogisticBlobs, MlpBlobs, NoisyQuadraticEnsemble, cross_section_profile, empirical_loss
+from .regression import SampleSet, select_degree_and_fit
+from .seeding import rng_streams
 
 __all__ = [
     "BaselineConfig",
-    "BatchStream",
-    "CrossSectionProfile",
     "DivergenceError",
     "ElfConfig",
-    "FitReport",
     "LineSearchConfig",
-    "LineSearchResult",
     "LogisticBlobs",
     "MlpBlobs",
     "NoisyQuadraticEnsemble",
-    "OptimizerState",
-    "Polynomial",
-    "RngStreams",
     "SampleSet",
     "StepDecaySchedule",
-    "TrainingLog",
-    "adam_step",
-    "apply_decrease_factor",
-    "chose_sample_interval",
-    "closest_minimum_to_zero",
     "cross_section_profile",
-    "derivative",
     "elf_line_search",
     "empirical_loss",
-    "evaluate",
-    "fit_polynomial",
-    "init_adam",
-    "init_sgd",
-    "initial_grid_search",
-    "kfold_cv_error",
     "rng_streams",
     "run",
     "run_baseline",
-    "search_trigger",
     "select_degree_and_fit",
-    "sgd_step",
-    "solve_for_value_nearest",
-    "substream",
-    "trigger_line_searches",
 ]
 
 __version__ = "0.1.0"

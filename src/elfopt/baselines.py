@@ -21,6 +21,10 @@ class StepDecaySchedule:
     milestones: tuple[float, ...] = (0.5, 0.75)
     divisor: float = 10.0
 
+    def __post_init__(self):
+        if self.divisor <= 0.0:
+            raise ValueError("divisor must be positive")
+
     def learning_rate(self, base_lr: float, steps_taken: int) -> float:
         passed = sum(
             1 for m in self.milestones if steps_taken >= int(m * self.total_steps)

@@ -6,6 +6,11 @@ repeated --set overrides, and named command-line flags. All floats are
 serialized with 17 significant digits so snapshots round-trip exactly and
 repeated runs of one configuration produce byte-identical artifacts.
 
+A key under a section prefix (quadratic, logistic, mlp, elf, elf.line, sgd,
+adam, schedule) sets one field of the class that section builds, and its
+default is that field's default in the class. Only the top-level keys, the
+cross_section keys and adam.learning_rate carry a default of their own.
+
 Artifacts written per run:
     config.txt          resolved configuration snapshot
     training_log.csv    one row per batch load (step, event, losses, trigger terms)
@@ -19,6 +24,7 @@ Exit codes: 0 success, 1 configuration error, 2 divergence.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -35,6 +41,24 @@ class ConfigError(ValueError):
     """Unknown keys or names, or values that do not parse."""
 
 
+# Each config section builds one class: key prefix -> (class, the fields
+# exposed under that prefix, in snapshot order). A key's default is the
+# class's own default for that field.
+SECTIONS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "quadratic": (NoisyQuadraticEnsemble, ("n_batches", "dim")),
+    "logistic": (LogisticBlobs, ("n_train", "n_val", "n_features", "separation", "cluster_std")),
+    "mlp": (MlpBlobs, ("n_train", "n_val", "n_features", "n_classes", "hidden1", "hidden2",
+                       "separation", "cluster_std")),
+    "elf": (ElfConfig, ("window_size", "loss_improvement_factor", "momentum_beta",
+                        "decrease_factor_delta", "lines_to_average", "sample_from_validation",
+                        "grid_search_candidates", "grid_search_probe_steps")),
+    "elf.line": (LineSearchConfig, ("k", "n", "initial_interval_width", "min_window_size",
+                                    "folds", "max_degree")),
+    "sgd": (BaselineConfig, ("learning_rate", "momentum")),
+    "adam": (BaselineConfig, ("learning_rate", "beta1", "beta2", "epsilon")),
+    "schedule": (StepDecaySchedule, ("milestones", "divisor")),
+}
+
 DEFAULTS: dict[str, object] = {
     "problem": "quadratic",
     "optimizer": "elf",
@@ -43,52 +67,20 @@ DEFAULTS: dict[str, object] = {
     "seed": 0,
     "out": "run_out",
     "quiet": False,
-    # problem generation
-    "quadratic.n_batches": 100,
-    "quadratic.dim": 20,
-    "logistic.n_train": 2000,
-    "logistic.n_val": 500,
-    "logistic.n_features": 2,
-    "logistic.separation": 5.0,
-    "logistic.cluster_std": 0.7,
-    "mlp.n_train": 2000,
-    "mlp.n_val": 500,
-    "mlp.n_features": 2,
-    "mlp.n_classes": 3,
-    "mlp.hidden1": 16,
-    "mlp.hidden2": 16,
-    "mlp.separation": 4.0,
-    "mlp.cluster_std": 0.7,
-    # step-measuring optimizer
-    "elf.window_size": 150,
-    "elf.loss_improvement_factor": 0.01,
-    "elf.momentum_beta": 0.4,
-    "elf.decrease_factor_delta": 0.2,
-    "elf.lines_to_average": 3,
-    "elf.sample_from_validation": True,
-    "elf.grid_search_candidates": (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0),
-    "elf.grid_search_probe_steps": 20,
-    "elf.line.k": 5,
-    "elf.line.n": 100,
-    "elf.line.initial_interval_width": 1.0,
-    "elf.line.min_window_size": 50,
-    "elf.line.folds": 5,
-    "elf.line.max_degree": 10,
-    # baselines
-    "sgd.learning_rate": 0.01,
-    "sgd.momentum": 0.9,
-    "adam.learning_rate": 0.001,
-    "adam.beta1": 0.9,
-    "adam.beta2": 0.999,
-    "adam.epsilon": 1e-8,
-    "schedule.milestones": (0.5, 0.75),
-    "schedule.divisor": 10.0,
+    **{
+        f"{prefix}.{name}": inspect.signature(cls).parameters[name].default
+        for prefix, (cls, names) in SECTIONS.items()
+        for name in names
+    },
     # cross-section diagnostics
     "cross_section.s_min": -0.3,
     "cross_section.s_max": 0.7,
     "cross_section.points": 50,
     "cross_section.direction": "batch_gradient",
 }
+# BaselineConfig's 0.01 suits SGD with momentum; Adam's customary step,
+# which normalizes by the gradient scale, is ten times smaller.
+DEFAULTS["adam.learning_rate"] = 0.001
 
 PROBLEM_NAMES = ("quadratic", "logistic", "mlp")
 OPTIMIZER_NAMES = ("elf", "sgd", "adam")
@@ -163,82 +155,26 @@ class RunConfig:
         return config
 
 
+def build_section(config: RunConfig, prefix: str, **extra):
+    """Build a section's class from its keys, each value cast to the type of
+    its default; extra keyword arguments come from outside the section. A
+    value the class rejects is a configuration error."""
+    cls, names = SECTIONS[prefix]
+    keys = [f"{prefix}.{name}" for name in names]
+    try:
+        values = {name: type(DEFAULTS[key])(config[key]) for name, key in zip(names, keys)}
+        return cls(**values, **extra)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def build_problem(config: RunConfig, data_rng):
     name = config["problem"]
-    batch_size = int(config["batch_size"])
+    if name not in PROBLEM_NAMES:
+        raise ConfigError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
     if name == "quadratic":
-        return NoisyQuadraticEnsemble(
-            n_batches=int(config["quadratic.n_batches"]),
-            dim=int(config["quadratic.dim"]),
-            rng=data_rng,
-        )
-    if name == "logistic":
-        return LogisticBlobs(
-            n_train=int(config["logistic.n_train"]),
-            n_val=int(config["logistic.n_val"]),
-            n_features=int(config["logistic.n_features"]),
-            separation=float(config["logistic.separation"]),
-            cluster_std=float(config["logistic.cluster_std"]),
-            batch_size=batch_size,
-            rng=data_rng,
-        )
-    if name == "mlp":
-        return MlpBlobs(
-            n_train=int(config["mlp.n_train"]),
-            n_val=int(config["mlp.n_val"]),
-            n_features=int(config["mlp.n_features"]),
-            n_classes=int(config["mlp.n_classes"]),
-            hidden1=int(config["mlp.hidden1"]),
-            hidden2=int(config["mlp.hidden2"]),
-            separation=float(config["mlp.separation"]),
-            cluster_std=float(config["mlp.cluster_std"]),
-            batch_size=batch_size,
-            rng=data_rng,
-        )
-    raise ConfigError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
-
-
-def build_elf_config(config: RunConfig) -> ElfConfig:
-    line = LineSearchConfig(
-        k=int(config["elf.line.k"]),
-        n=int(config["elf.line.n"]),
-        initial_interval_width=float(config["elf.line.initial_interval_width"]),
-        min_window_size=int(config["elf.line.min_window_size"]),
-        folds=int(config["elf.line.folds"]),
-        max_degree=int(config["elf.line.max_degree"]),
-    )
-    return ElfConfig(
-        window_size=int(config["elf.window_size"]),
-        loss_improvement_factor=float(config["elf.loss_improvement_factor"]),
-        momentum_beta=float(config["elf.momentum_beta"]),
-        decrease_factor_delta=float(config["elf.decrease_factor_delta"]),
-        lines_to_average=int(config["elf.lines_to_average"]),
-        line_search=line,
-        grid_search_candidates=tuple(config["elf.grid_search_candidates"]),
-        grid_search_probe_steps=int(config["elf.grid_search_probe_steps"]),
-        sample_from_validation=bool(config["elf.sample_from_validation"]),
-    )
-
-
-def build_baseline_config(config: RunConfig, optimizer: str) -> BaselineConfig:
-    schedule = StepDecaySchedule(
-        total_steps=int(config["steps"]),
-        milestones=tuple(config["schedule.milestones"]),
-        divisor=float(config["schedule.divisor"]),
-    )
-    if optimizer == "sgd":
-        return BaselineConfig(
-            learning_rate=float(config["sgd.learning_rate"]),
-            momentum=float(config["sgd.momentum"]),
-            schedule=schedule,
-        )
-    return BaselineConfig(
-        learning_rate=float(config["adam.learning_rate"]),
-        beta1=float(config["adam.beta1"]),
-        beta2=float(config["adam.beta2"]),
-        epsilon=float(config["adam.epsilon"]),
-        schedule=schedule,
-    )
+        return build_section(config, name, rng=data_rng)
+    return build_section(config, name, batch_size=int(config["batch_size"]), rng=data_rng)
 
 
 def _fmt(value) -> str:
@@ -258,22 +194,22 @@ def write_training_log(path: Path, log: TrainingLog) -> None:
 
 
 def write_line_csvs(out_dir: Path, log: TrainingLog) -> None:
-    for record in log.line_searches:
+    for index, search in enumerate(log.line_searches):
         lines = ["round,s,loss"]
         for r, s, loss in zip(
-            record.rounds, record.samples.positions, record.samples.losses
+            search.rounds, search.samples.positions, search.samples.losses
         ):
             lines.append(f"{int(r)},{_fmt(s)},{_fmt(loss)}")
-        (out_dir / f"line_{record.index}.csv").write_text("\n".join(lines) + "\n")
+        (out_dir / f"line_{index}.csv").write_text("\n".join(lines) + "\n")
 
 
 def write_fits_csv(path: Path, log: TrainingLog, max_degree: int) -> None:
     header = "line_index,degree," + ",".join(f"c{i}" for i in range(max_degree + 1))
     lines = [header]
-    for record in log.line_searches:
-        coef = list(record.fit.polynomial.coefficients)
+    for index, search in enumerate(log.line_searches):
+        coef = list(search.fit.polynomial.coefficients)
         padded = [_fmt(c) for c in coef] + [""] * (max_degree + 1 - len(coef))
-        lines.append(f"{record.index},{record.fit.chosen_degree}," + ",".join(padded))
+        lines.append(f"{index},{search.fit.chosen_degree}," + ",".join(padded))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -288,15 +224,11 @@ def run_experiment(config: RunConfig) -> int:
     steps = int(config["steps"])
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    try:
-        if optimizer == "elf":
-            elf_config = build_elf_config(config)
-        else:
-            baseline_config = build_baseline_config(config, optimizer)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if optimizer == "elf":
+        elf_config = build_section(config, "elf", line_search=build_section(config, "elf.line"))
+    else:
+        schedule = build_section(config, "schedule", total_steps=steps)
+        baseline_config = build_section(config, optimizer, schedule=schedule)
     quiet = bool(config["quiet"])
 
     out_dir = Path(str(config["out"]))

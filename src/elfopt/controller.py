@@ -18,10 +18,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linesearch import LineSearchConfig, elf_line_search
+from .linesearch import LineSearchConfig, LineSearchResult, elf_line_search
 from .poly import Polynomial, evaluate, real_roots_in
 from .problems import BatchStream
-from .regression import FitReport, SampleSet
 from .seeding import RngStreams
 
 
@@ -78,19 +77,10 @@ class LogRow:
     real_improvement: float | None
 
 
-@dataclass(frozen=True)
-class LineSearchRecord:
-    index: int
-    samples: SampleSet
-    rounds: np.ndarray
-    fit: FitReport
-    minimum_position: float | None
-
-
 @dataclass
 class TrainingLog:
     rows: list[LogRow] = field(default_factory=list)
-    line_searches: list[LineSearchRecord] = field(default_factory=list)
+    line_searches: list[LineSearchResult] = field(default_factory=list)
 
     def count(self, event: str) -> int:
         return sum(1 for row in self.rows if row.event == event)
@@ -111,11 +101,27 @@ def search_trigger(
     over the window is at most the improvement-factor fraction of the
     extrapolated expectation.
     """
-    if (t - t_of_last_update + 1) % (window_size + 1) != 0:
-        return False
+    return trigger_terms(
+        t, t_of_last_update, window_size, loss_improvement_factor,
+        last_mean_loss, mean_window_loss, expected_per_step_improvement,
+    )[0]
+
+
+def trigger_terms(
+    t: int,
+    t_of_last_update: int,
+    window_size: int,
+    loss_improvement_factor: float,
+    last_mean_loss: float,
+    mean_window_loss: float,
+    expected_per_step_improvement: float,
+) -> tuple[bool, bool, float, float]:
+    """search_trigger's decision with the terms it is made from: (fires, on
+    a window boundary, realized improvement, expected improvement)."""
+    on_boundary = (t - t_of_last_update + 1) % (window_size + 1) == 0
     real = last_mean_loss - mean_window_loss
     expected = last_mean_loss - expected_per_step_improvement * (t - t_of_last_update)
-    return real <= expected * loss_improvement_factor
+    return on_boundary and real <= expected * loss_improvement_factor, on_boundary, real, expected
 
 
 def apply_decrease_factor(
@@ -234,15 +240,7 @@ def trigger_line_searches(
             return loss
 
         result = elf_line_search(oracle, line_config, line_rng, cv_rng)
-        log.line_searches.append(
-            LineSearchRecord(
-                index=len(log.line_searches),
-                samples=result.samples,
-                rounds=result.rounds,
-                fit=result.fit,
-                minimum_position=result.minimum_position,
-            )
-        )
+        log.line_searches.append(result)
         if result.valid:
             s_target = apply_decrease_factor(
                 result.fit.polynomial,
@@ -322,12 +320,7 @@ def run(
 
     while state.t < steps_to_train:
         mean_window = float(np.mean(state.losses)) if state.losses else float("nan")
-        real = state.last_mean_loss - mean_window
-        expected = state.last_mean_loss - state.expected_per_step_improvement * (
-            state.t - state.t_of_last_update
-        )
-        on_boundary = (state.t - state.t_of_last_update + 1) % (config.window_size + 1) == 0
-        if search_trigger(
+        fires, on_boundary, real, expected = trigger_terms(
             state.t,
             state.t_of_last_update,
             config.window_size,
@@ -335,7 +328,8 @@ def run(
             state.last_mean_loss,
             mean_window,
             state.expected_per_step_improvement,
-        ):
+        )
+        if fires:
             t_before = state.t
             trigger_line_searches(
                 state, config, problem, train_stream, val_stream,

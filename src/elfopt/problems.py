@@ -92,6 +92,8 @@ class NoisyQuadraticEnsemble:
         offset_range: tuple[float, float] = (0.0, 0.1),
         validation_fraction: float = 0.2,
     ):
+        if n_batches < 1:
+            raise ValueError("n_batches must be >= 1")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = dim
         self.matrices = np.empty((n_batches, dim, dim))
@@ -164,7 +166,11 @@ def _make_blobs(n, centers, cluster_std, rng):
 
 
 def _split_batches(x, y, batch_size):
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     n_full = x.shape[0] // batch_size
+    if n_full == 0:
+        raise ValueError(f"{x.shape[0]} samples cannot fill one batch of {batch_size}")
     return [
         (x[i * batch_size:(i + 1) * batch_size], y[i * batch_size:(i + 1) * batch_size])
         for i in range(n_full)

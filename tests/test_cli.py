@@ -27,6 +27,58 @@ FAST_ELF = [
     "--set", "quadratic.dim=6",
 ]
 
+# config.txt of an all-default run: every key, its order and its default.
+DEFAULT_SNAPSHOT = (
+    "problem=quadratic\n"
+    "optimizer=elf\n"
+    "steps=2000\n"
+    "batch_size=50\n"
+    "seed=0\n"
+    "out=run_out\n"
+    "quiet=false\n"
+    "quadratic.n_batches=100\n"
+    "quadratic.dim=20\n"
+    "logistic.n_train=2000\n"
+    "logistic.n_val=500\n"
+    "logistic.n_features=2\n"
+    "logistic.separation=5\n"
+    "logistic.cluster_std=0.69999999999999996\n"
+    "mlp.n_train=2000\n"
+    "mlp.n_val=500\n"
+    "mlp.n_features=2\n"
+    "mlp.n_classes=3\n"
+    "mlp.hidden1=16\n"
+    "mlp.hidden2=16\n"
+    "mlp.separation=4\n"
+    "mlp.cluster_std=0.69999999999999996\n"
+    "elf.window_size=150\n"
+    "elf.loss_improvement_factor=0.01\n"
+    "elf.momentum_beta=0.40000000000000002\n"
+    "elf.decrease_factor_delta=0.20000000000000001\n"
+    "elf.lines_to_average=3\n"
+    "elf.sample_from_validation=true\n"
+    "elf.grid_search_candidates=0.0001,0.001,0.01,0.10000000000000001,1,10\n"
+    "elf.grid_search_probe_steps=20\n"
+    "elf.line.k=5\n"
+    "elf.line.n=100\n"
+    "elf.line.initial_interval_width=1\n"
+    "elf.line.min_window_size=50\n"
+    "elf.line.folds=5\n"
+    "elf.line.max_degree=10\n"
+    "sgd.learning_rate=0.01\n"
+    "sgd.momentum=0.90000000000000002\n"
+    "adam.learning_rate=0.001\n"
+    "adam.beta1=0.90000000000000002\n"
+    "adam.beta2=0.999\n"
+    "adam.epsilon=1e-08\n"
+    "schedule.milestones=0.5,0.75\n"
+    "schedule.divisor=10\n"
+    "cross_section.s_min=-0.29999999999999999\n"
+    "cross_section.s_max=0.69999999999999996\n"
+    "cross_section.points=50\n"
+    "cross_section.direction=batch_gradient\n"
+)
+
 
 def test_config_round_trip_is_lossless():
     config = RunConfig()
@@ -36,6 +88,10 @@ def test_config_round_trip_is_lossless():
     config.set("elf.sample_from_validation", False)
     restored = RunConfig.deserialize(config.serialize())
     assert restored.values == config.values
+
+
+def test_default_snapshot_is_pinned():
+    assert RunConfig().serialize() == "".join(DEFAULT_SNAPSHOT)
 
 
 def test_seventeen_digit_floats_round_trip():
@@ -163,6 +219,20 @@ def test_unknown_set_key_exits_1(tmp_path):
 def test_line_search_config_errors_exit_1_before_training(tmp_path, capsys, setting):
     out = tmp_path / "nothing"
     assert main([*FAST_ELF, "--set", setting, "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--problem", "logistic", "--set", "batch_size=5000"],
+    ["--set", "quadratic.n_batches=0"],
+    ["--problem", "logistic", "--set", "logistic.n_train=10"],
+    ["--problem", "logistic", "--set", "batch_size=0"],
+    ["--optimizer", "sgd", "--set", "schedule.divisor=0"],
+], ids=lambda args: args[-1])
+def test_problem_and_schedule_errors_exit_1_before_writing(tmp_path, capsys, args):
+    out = tmp_path / "nothing"
+    assert main([*args, "--out", str(out), "--quiet"]) == 1
     assert not out.exists()
     assert "config error:" in capsys.readouterr().err
 
