@@ -7,18 +7,19 @@ window falls below a fraction of the improvement the most recent line fit
 promised, a search phase runs a few consecutive line searches, averages their
 suggested step sizes, and training resumes with the new step.
 
-Step accounting is strict: every batch load (SGD step, line-search sample,
-grid-search probe) advances the step counter by exactly one and emits one
-training-log row.
+Step accounting is strict and lives in one function, _load: every batch
+load (SGD step, line-search sample, grid-search probe) goes through it, and it
+advances the step counter by exactly one and emits one training-log row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linesearch import LineSearchConfig, LineSearchResult, elf_line_search
+from .linesearch import MIN_INTERVAL_WIDTH, LineSearchConfig, LineSearchResult, elf_line_search
 from .poly import Polynomial, evaluate, real_roots_in
 from .problems import BatchStream
 from .seeding import RngStreams
@@ -51,6 +52,11 @@ class ElfConfig:
             raise ValueError("decrease_factor_delta must lie in [0, 1)")
         if self.lines_to_average < 1:
             raise ValueError("lines_to_average must be >= 1")
+        # The selected candidate becomes the line search's first interval width.
+        if not all(MIN_INTERVAL_WIDTH <= c < math.inf for c in self.grid_search_candidates):
+            raise ValueError(f"grid_search_candidates must lie in [{MIN_INTERVAL_WIDTH:g}, inf)")
+        if self.grid_search_probe_steps < 0:
+            raise ValueError("grid_search_probe_steps must be >= 0")
 
 
 @dataclass
@@ -64,7 +70,6 @@ class OptimizerState:
     t_of_last_update: int = -1
     expected_per_step_improvement: float = np.inf
     current_batch: object = None
-    baseline_level: float | None = None   # grid-search loss level at theta0
 
 
 @dataclass(frozen=True)
@@ -86,27 +91,6 @@ class TrainingLog:
         return sum(1 for row in self.rows if row.event == event)
 
 
-def search_trigger(
-    t: int,
-    t_of_last_update: int,
-    window_size: int,
-    loss_improvement_factor: float,
-    last_mean_loss: float,
-    mean_window_loss: float,
-    expected_per_step_improvement: float,
-) -> bool:
-    """Decide whether a new step size must be measured.
-
-    Fires only on window boundaries, and only when the realized improvement
-    over the window is at most the improvement-factor fraction of the
-    extrapolated expectation.
-    """
-    return trigger_terms(
-        t, t_of_last_update, window_size, loss_improvement_factor,
-        last_mean_loss, mean_window_loss, expected_per_step_improvement,
-    )[0]
-
-
 def trigger_terms(
     t: int,
     t_of_last_update: int,
@@ -116,8 +100,14 @@ def trigger_terms(
     mean_window_loss: float,
     expected_per_step_improvement: float,
 ) -> tuple[bool, bool, float, float]:
-    """search_trigger's decision with the terms it is made from: (fires, on
-    a window boundary, realized improvement, expected improvement)."""
+    """Decide whether a new step size must be measured, and return the
+    decision with the terms it is made from: (fires, on a window boundary,
+    realized improvement, expected improvement).
+
+    Fires only on window boundaries, and only when the realized improvement
+    over the window is at most the improvement-factor fraction of the
+    extrapolated expectation.
+    """
     on_boundary = (t - t_of_last_update + 1) % (window_size + 1) == 0
     real = last_mean_loss - mean_window_loss
     expected = last_mean_loss - expected_per_step_improvement * (t - t_of_last_update)
@@ -163,30 +153,18 @@ def initial_grid_search(
     candidates = sorted(config.grid_search_candidates, reverse=True)
     theta0 = state.theta.copy()
 
-    baseline_losses = []
-    for _ in range(probe):
-        batch = train_stream.next_batch()
-        state.current_batch = batch
-        loss = float(problem.batch_loss(theta0, batch))
-        state.t += 1
-        log.rows.append(LogRow(state.t, "grid_search", loss, None, None, None))
-        baseline_losses.append(loss)
-    baseline = float(np.mean(baseline_losses))
-    state.baseline_level = baseline
+    baseline_losses = [_load(problem, train_stream, theta0, state, log, "grid_search")[1]
+                       for _ in range(probe)]
+    # The loss level at theta0 is the first search phase's reference level.
+    baseline = state.last_mean_loss = float(np.mean(baseline_losses))
 
     for candidate in candidates:
-        theta = theta0.copy()
+        theta = theta0
         probe_losses = []
         for _ in range(probe):
-            batch = train_stream.next_batch()
-            state.current_batch = batch
-            loss = float(problem.batch_loss(theta, batch))
-            gradient = problem.batch_gradient(theta, batch)
-            norm = float(np.linalg.norm(gradient))
-            if norm > 0.0:
-                theta = theta - candidate * (gradient / norm)
-            state.t += 1
-            log.rows.append(LogRow(state.t, "grid_search", loss, candidate, None, None))
+            state.current_batch, loss = _load(
+                problem, train_stream, theta, state, log, "grid_search", candidate)
+            theta = _unit_step(problem, theta, state.current_batch, candidate)
             probe_losses.append(loss)
         if float(np.mean(probe_losses)) < baseline:
             return candidate
@@ -202,8 +180,7 @@ def trigger_line_searches(
     line_rng: np.random.Generator,
     cv_rng: np.random.Generator,
     log: TrainingLog,
-    line_config: LineSearchConfig | None = None,
-) -> OptimizerState:
+) -> None:
     """Measure a new step size with consecutive line searches.
 
     Each search folds the current batch gradient into the momentum buffer,
@@ -213,14 +190,11 @@ def trigger_line_searches(
     suggestions; searches without a positive minimum are discarded, and when
     none are valid the step size keeps its previous value.
     """
-    if line_config is None:
-        line_config = config.line_search
     sample_stream = val_stream if config.sample_from_validation else train_stream
 
     applied_steps: list[float] = []
     improvements: list[float] = []
     applied_improvements: list[float] = []
-    fitted_origins: list[float] = []
     for _ in range(config.lines_to_average):
         gradient = problem.batch_gradient(state.theta, state.current_batch)
         state.momentum_buffer = config.momentum_beta * state.momentum_buffer + gradient
@@ -231,15 +205,13 @@ def trigger_line_searches(
         theta0 = state.theta.copy()
 
         def oracle(s: float) -> float:
-            batch = sample_stream.next_batch()
-            loss = float(problem.batch_loss(theta0 + s * direction, batch))
-            state.t += 1
-            log.rows.append(LogRow(state.t, "line_search", loss, state.update_step, None, None))
-            if not np.isfinite(loss):
+            _, loss = _load(problem, sample_stream, theta0 + s * direction, state, log,
+                            "line_search", state.update_step)
+            if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite line-search loss at step {state.t}")
             return loss
 
-        result = elf_line_search(oracle, line_config, line_rng, cv_rng)
+        result = elf_line_search(oracle, config.line_search, line_rng, cv_rng)
         log.line_searches.append(result)
         if result.valid:
             s_target = apply_decrease_factor(
@@ -255,7 +227,6 @@ def trigger_line_searches(
                 evaluate(result.fit.polynomial, 0.0)
                 - evaluate(result.fit.polynomial, s_target)
             )
-            fitted_origins.append(evaluate(result.fit.polynomial, 0.0))
 
     if applied_steps:
         state.update_step = float(np.mean(applied_steps))
@@ -271,18 +242,12 @@ def trigger_line_searches(
     # improvement the applied steps delivered. Anchoring to the post-phase
     # level makes real_improvement measure pure SGD-phase progress, which is
     # the only reading under which a later plateau can re-trigger a search.
-    if state.losses:
-        pre_level = float(np.mean(state.losses))
-    elif state.baseline_level is not None:
-        pre_level = state.baseline_level
-    elif fitted_origins:
-        pre_level = fitted_origins[0]
-    else:
-        pre_level = state.last_mean_loss
+    # A phase right after the grid search has no SGD losses yet; the grid
+    # search left its baseline level in last_mean_loss.
+    pre_level = float(np.mean(state.losses)) if state.losses else state.last_mean_loss
     state.last_mean_loss = pre_level - float(np.sum(applied_improvements))
     state.losses = []
     state.t_of_last_update = state.t
-    return state
 
 
 def run(
@@ -306,16 +271,16 @@ def run(
     train_stream = BatchStream(problem.train_batches, streams.train_order)
     val_stream = BatchStream(problem.validation_batches, streams.val_order)
 
-    line_config = config.line_search
     if config.grid_search_probe_steps > 0 and config.grid_search_candidates:
         selected = initial_grid_search(problem, config, train_stream, state, log)
         state.update_step = float(selected)
-        line_config = replace(config.line_search, initial_interval_width=float(selected))
+        config = replace(config, line_search=replace(
+            config.line_search, initial_interval_width=float(selected)))
     if state.current_batch is None:
         _sgd_step(problem, state, train_stream, log)
     trigger_line_searches(
         state, config, problem, train_stream, val_stream,
-        streams.line_search, streams.cv, log, line_config,
+        streams.line_search, streams.cv, log,
     )
 
     while state.t < steps_to_train:
@@ -333,7 +298,7 @@ def run(
             t_before = state.t
             trigger_line_searches(
                 state, config, problem, train_stream, val_stream,
-                streams.line_search, streams.cv, log, line_config,
+                streams.line_search, streams.cv, log,
             )
             if state.t == t_before:
                 # Zero-norm search direction everywhere: no batch was loaded,
@@ -352,15 +317,28 @@ def run(
 
 def _sgd_step(problem, state, train_stream, log, expected=None, real=None):
     """One unit-gradient SGD step: the displacement norm equals update_step."""
-    batch = train_stream.next_batch()
-    state.current_batch = batch
-    loss = float(problem.batch_loss(state.theta, batch))
-    state.t += 1
-    log.rows.append(LogRow(state.t, "sgd", loss, state.update_step, expected, real))
-    if not np.isfinite(loss):
+    state.current_batch, loss = _load(
+        problem, train_stream, state.theta, state, log, "sgd", state.update_step, expected, real)
+    if not math.isfinite(loss):
         raise DivergenceError(f"non-finite training loss at step {state.t}")
-    gradient = problem.batch_gradient(state.theta, batch)
-    norm = float(np.linalg.norm(gradient))
-    if norm > 0.0:
-        state.theta = state.theta - state.update_step * (gradient / norm)
+    state.theta = _unit_step(problem, state.theta, state.current_batch, state.update_step)
     state.losses.append(loss)
+
+
+def _load(problem, stream, theta, state, log, event, update_step=None, expected=None, real=None):
+    """Load the next batch from stream and measure its loss at theta: the
+    one place a batch is loaded. Advances the step counter by one, appends
+    the load's training-log row and returns (batch, loss)."""
+    batch = stream.next_batch()
+    loss = float(problem.batch_loss(theta, batch))
+    state.t += 1
+    log.rows.append(LogRow(state.t, event, loss, update_step, expected, real))
+    return batch, loss
+
+
+def _unit_step(problem, theta, batch, step):
+    """theta moved by step along the normalized negative batch gradient, or
+    theta itself when that gradient is zero."""
+    gradient = problem.batch_gradient(theta, batch)
+    norm = float(np.linalg.norm(gradient))
+    return theta - step * (gradient / norm) if norm > 0.0 else theta

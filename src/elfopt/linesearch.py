@@ -23,6 +23,11 @@ from .regression import FitReport, SampleSet, select_degree_and_fit
 # minimum that lies past the current window.
 EXTRAPOLATION_FACTOR = 2.0
 
+# The narrowest first sampling interval. Steps below machine epsilon cannot
+# move a parameter of order one, and the fit of a far narrower line (1e-160,
+# say) overflows when mapped back to raw step sizes.
+MIN_INTERVAL_WIDTH = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class LineSearchConfig:
@@ -42,8 +47,8 @@ class LineSearchConfig:
             raise ValueError("max_degree must be >= 0")
         if self.n < self.folds:
             raise ValueError("n must be >= folds")
-        if self.initial_interval_width <= 0.0:
-            raise ValueError("initial_interval_width must be positive")
+        if not MIN_INTERVAL_WIDTH <= self.initial_interval_width < np.inf:
+            raise ValueError(f"initial_interval_width must lie in [{MIN_INTERVAL_WIDTH:g}, inf)")
         if self.min_window_size < 1:
             raise ValueError("min_window_size must be >= 1")
 

@@ -92,8 +92,7 @@ class NoisyQuadraticEnsemble:
         offset_range: tuple[float, float] = (0.0, 0.1),
         validation_fraction: float = 0.2,
     ):
-        if n_batches < 1:
-            raise ValueError("n_batches must be >= 1")
+        _check_sizes(n_batches=n_batches, dim=dim)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = dim
         self.matrices = np.empty((n_batches, dim, dim))
@@ -149,6 +148,12 @@ class NoisyQuadraticEnsemble:
         return float(0.5 * theta @ a_bar @ theta - theta @ ab_bar + const)
 
 
+def _check_sizes(**sizes):
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def _sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
@@ -163,6 +168,16 @@ def _make_blobs(n, centers, cluster_std, rng):
     labels = rng.integers(0, n_classes, size=n)
     x = centers[labels] + rng.normal(scale=cluster_std, size=(n, centers.shape[1]))
     return x, labels
+
+
+def _blob_batches(n_train, n_val, centers, cluster_std, batch_size, rng):
+    """Train and validation batches from one seeded blob sample: the first
+    n_train samples train, the next n_val validate."""
+    if n_train < 0 or n_val < 0:
+        raise ValueError("n_train and n_val must be >= 0")
+    x, y = _make_blobs(n_train + n_val, centers, cluster_std, rng)
+    return (_split_batches(x[:n_train], y[:n_train], batch_size),
+            _split_batches(x[n_train:], y[n_train:], batch_size))
 
 
 def _split_batches(x, y, batch_size):
@@ -194,13 +209,13 @@ class LogisticBlobs:
         batch_size: int = 50,
         rng: np.random.Generator | None = None,
     ):
+        _check_sizes(n_features=n_features)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = n_features + 1
         offset = 0.5 * separation / np.sqrt(n_features)
         centers = np.vstack([np.full(n_features, -offset), np.full(n_features, offset)])
-        x, y = _make_blobs(n_train + n_val, centers, cluster_std, rng)
-        self.train_batches = _split_batches(x[:n_train], y[:n_train], batch_size)
-        self.validation_batches = _split_batches(x[n_train:], y[n_train:], batch_size)
+        self.train_batches, self.validation_batches = _blob_batches(
+            n_train, n_val, centers, cluster_std, batch_size, rng)
 
     def _logits(self, theta, x):
         theta = np.asarray(theta, dtype=float)
@@ -248,14 +263,14 @@ class MlpBlobs:
         batch_size: int = 50,
         rng: np.random.Generator | None = None,
     ):
+        _check_sizes(n_features=n_features, hidden1=hidden1, hidden2=hidden2)
         rng = rng if rng is not None else np.random.default_rng(0)
         angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
         centers = np.zeros((n_classes, n_features))
         centers[:, 0] = 0.5 * separation * np.cos(angles)
         centers[:, 1 % n_features] = 0.5 * separation * np.sin(angles)
-        x, y = _make_blobs(n_train + n_val, centers, cluster_std, rng)
-        self.train_batches = _split_batches(x[:n_train], y[:n_train], batch_size)
-        self.validation_batches = _split_batches(x[n_train:], y[n_train:], batch_size)
+        self.train_batches, self.validation_batches = _blob_batches(
+            n_train, n_val, centers, cluster_std, batch_size, rng)
 
         self.n_classes = n_classes
         self._shapes = [

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from elfopt.baselines import BaselineConfig, StepDecaySchedule, run_baseline
-from elfopt.controller import ElfConfig, apply_decrease_factor, run, search_trigger
+from elfopt.controller import ElfConfig, apply_decrease_factor, run, trigger_terms
 from elfopt.linesearch import LineSearchConfig, elf_line_search
 from elfopt.poly import Polynomial, closest_minimum_to_zero, evaluate
 from elfopt.problems import (
@@ -217,7 +217,7 @@ def test_criterion_05_controller_trigger_fidelity():
         last_mean = float(rng.normal(scale=2.0))
         window_mean = float(rng.normal(scale=2.0))
         per_step = float(rng.choice([np.inf, 0.0, abs(rng.normal(scale=0.01))]))
-        ours = search_trigger(t, t_last, ws, factor, last_mean, window_mean, per_step)
+        ours = trigger_terms(t, t_last, ws, factor, last_mean, window_mean, per_step)[0]
         assert ours == independent(t, t_last, ws, factor, last_mean, window_mean, per_step)
         fired += ours
     assert fired > 100

@@ -215,7 +215,9 @@ def test_unknown_set_key_exits_1(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["elf.line.folds=1", "elf.line.max_degree=-1"])
+@pytest.mark.parametrize("setting", ["elf.line.folds=1", "elf.line.max_degree=-1",
+                                     "elf.line.initial_interval_width=nan",
+                                     "elf.line.initial_interval_width=1e-200"])
 def test_line_search_config_errors_exit_1_before_training(tmp_path, capsys, setting):
     out = tmp_path / "nothing"
     assert main([*FAST_ELF, "--set", setting, "--out", str(out), "--quiet"]) == 1
@@ -229,6 +231,18 @@ def test_line_search_config_errors_exit_1_before_training(tmp_path, capsys, sett
     ["--problem", "logistic", "--set", "logistic.n_train=10"],
     ["--problem", "logistic", "--set", "batch_size=0"],
     ["--optimizer", "sgd", "--set", "schedule.divisor=0"],
+    ["--set", "elf.grid_search_candidates=-1"],
+    ["--set", "elf.grid_search_candidates=0"],
+    ["--set", "elf.grid_search_candidates=nan"],
+    ["--set", "elf.grid_search_candidates=1e-200"],
+    ["--set", "elf.grid_search_probe_steps=-1"],
+    ["--set", "quadratic.dim=0"],
+    ["--problem", "logistic", "--set", "logistic.n_train=-100"],
+    ["--problem", "logistic", "--set", "logistic.n_features=0"],
+    ["--problem", "mlp", "--set", "mlp.n_train=-100"],
+    ["--problem", "mlp", "--set", "mlp.n_features=0"],
+    ["--problem", "mlp", "--set", "mlp.hidden1=0"],
+    ["--problem", "mlp", "--set", "mlp.hidden2=0"],
 ], ids=lambda args: args[-1])
 def test_problem_and_schedule_errors_exit_1_before_writing(tmp_path, capsys, args):
     out = tmp_path / "nothing"

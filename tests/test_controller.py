@@ -1,8 +1,11 @@
 """Controller behavior: trigger predicate, decrease factor, search phases
-with rigged oracles, grid search, and step accounting."""
+with rigged oracles, grid search, step accounting, pinned run decisions and
+config validation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elfopt.controller import (
     DivergenceError,
@@ -13,12 +16,18 @@ from elfopt.controller import (
     apply_decrease_factor,
     initial_grid_search,
     run,
-    search_trigger,
     trigger_line_searches,
+    trigger_terms,
 )
 from elfopt.linesearch import LineSearchConfig
 from elfopt.poly import Polynomial, evaluate
-from elfopt.problems import BatchStream, NoisyQuadraticEnsemble, empirical_loss
+from elfopt.problems import (
+    BatchStream,
+    LogisticBlobs,
+    MlpBlobs,
+    NoisyQuadraticEnsemble,
+    empirical_loss,
+)
 from elfopt.seeding import rng_streams
 
 
@@ -45,7 +54,7 @@ def test_trigger_matches_independent_predicate_on_synthetic_scenarios():
         last_mean = float(rng.normal())
         window_mean = float(rng.normal())
         per_step = float(rng.choice([np.inf, abs(rng.normal()), 0.0]))
-        ours = search_trigger(t, t_last, ws, factor, last_mean, window_mean, per_step)
+        ours = trigger_terms(t, t_last, ws, factor, last_mean, window_mean, per_step)[0]
         theirs = _independent_predicate(t, t_last, ws, factor, last_mean, window_mean, per_step)
         assert ours == theirs
         fired += ours
@@ -53,18 +62,18 @@ def test_trigger_matches_independent_predicate_on_synthetic_scenarios():
 
 
 def test_trigger_requires_window_boundary():
-    assert not search_trigger(10, 0, 150, 0.01, 1.0, 0.0, 0.001)
+    assert not trigger_terms(10, 0, 150, 0.01, 1.0, 0.0, 0.001)[0]
     # boundary at t - t_last == window_size; improvement below 1% of the
     # expected level fires
-    assert search_trigger(150, 0, 150, 0.01, 1.0, 0.995, 1e-9)
-    assert not search_trigger(150, 0, 150, 0.01, 1.0, 0.9, 1e-9)
+    assert trigger_terms(150, 0, 150, 0.01, 1.0, 0.995, 1e-9)[0]
+    assert not trigger_terms(150, 0, 150, 0.01, 1.0, 0.9, 1e-9)[0]
 
 
 def test_factor_zero_fires_only_on_plateau():
     # finite expectation, zero factor: fires iff real improvement <= 0
-    assert search_trigger(150, 0, 150, 0.0, 1.0, 1.0, 1e-9)       # real == 0
-    assert search_trigger(150, 0, 150, 0.0, 1.0, 1.2, 1e-9)       # got worse
-    assert not search_trigger(150, 0, 150, 0.0, 1.0, 0.5, 1e-9)   # improving
+    assert trigger_terms(150, 0, 150, 0.0, 1.0, 1.0, 1e-9)[0]       # real == 0
+    assert trigger_terms(150, 0, 150, 0.0, 1.0, 1.2, 1e-9)[0]       # got worse
+    assert not trigger_terms(150, 0, 150, 0.0, 1.0, 0.5, 1e-9)[0]   # improving
 
 
 # ---------------------------------------------------------------------------
@@ -410,3 +419,86 @@ def test_run_aborts_on_divergence():
                        lines_to_average=1, window_size=10)
     with pytest.raises(DivergenceError):
         run(problem, config, steps_to_train=2000, streams=streams)
+
+
+# ---------------------------------------------------------------------------
+# pinned decisions
+# ---------------------------------------------------------------------------
+
+# Decisions of one default run per problem at seed 0 and 2000 loads, captured
+# before the controller's four load paths were merged into one. A change that
+# claims to keep behaviour must reproduce them exactly.
+PINNED_DECISIONS = {
+    "quadratic": (lambda rng: NoisyQuadraticEnsemble(rng=rng), [(2, True)] * 6),
+    "logistic-hard": (
+        lambda rng: LogisticBlobs(separation=1.0, cluster_std=1.0, rng=rng),
+        [(3, True), (1, False), (2, True), (1, False), (2, False), (2, False)],
+    ),
+    "mlp": (
+        lambda rng: MlpBlobs(rng=rng),
+        [(6, True), (3, True), (1, False), (2, True), (1, False), (2, True)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DECISIONS)
+def test_default_run_decisions_are_pinned(name):
+    make_problem, decisions = PINNED_DECISIONS[name]
+    streams = rng_streams(0)
+    state, log = run(make_problem(streams.data), ElfConfig(), 2000, streams)
+    assert state.t == 3216
+    assert [log.count(event) for event in ("sgd", "line_search", "grid_search")] == [150, 3006, 60]
+    assert [(search.fit.chosen_degree, search.valid) for search in log.line_searches] == decisions
+
+
+# ---------------------------------------------------------------------------
+# config validation
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    window_size=st.integers(1, 40),
+    loss_improvement_factor=st.floats(0.0, 1.0),
+    momentum_beta=st.floats(0.0, 0.99),
+    decrease_factor_delta=st.floats(0.0, 0.99),
+    lines_to_average=st.integers(1, 3),
+    candidates=st.lists(st.floats(-1.0, 10.0) | st.sampled_from([np.nan, np.inf]),
+                        max_size=3).map(tuple),
+    probe_steps=st.integers(-2, 6),
+    sample_from_validation=st.booleans(),
+    k=st.integers(1, 3),
+    n=st.integers(1, 30),
+    width=st.floats(-1.0, 10.0) | st.sampled_from([np.nan, np.inf]),
+    min_window_size=st.integers(1, 20),
+    folds=st.integers(2, 6),
+    max_degree=st.integers(0, 8),
+)
+def test_config_that_validates_never_crashes(
+    window_size, loss_improvement_factor, momentum_beta, decrease_factor_delta,
+    lines_to_average, candidates, probe_steps, sample_from_validation,
+    k, n, width, min_window_size, folds, max_degree,
+):
+    try:
+        config = ElfConfig(
+            window_size=window_size,
+            loss_improvement_factor=loss_improvement_factor,
+            momentum_beta=momentum_beta,
+            decrease_factor_delta=decrease_factor_delta,
+            lines_to_average=lines_to_average,
+            line_search=LineSearchConfig(k=k, n=n, initial_interval_width=width,
+                                         min_window_size=min_window_size, folds=folds,
+                                         max_degree=max_degree),
+            grid_search_candidates=candidates,
+            grid_search_probe_steps=probe_steps,
+            sample_from_validation=sample_from_validation,
+        )
+    except ValueError:
+        return
+    streams = rng_streams(0)
+    problem = NoisyQuadraticEnsemble(n_batches=8, dim=3, rng=streams.data)
+    try:
+        state, log = run(problem, config, steps_to_train=200, streams=streams)
+    except DivergenceError:
+        return
+    assert len(log.rows) == state.t
+    assert [row.step for row in log.rows] == list(range(1, state.t + 1))
