@@ -3,6 +3,7 @@ divide-by-10 step-decay schedule, and Adam with bias correction."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,10 @@ class StepDecaySchedule:
     divisor: float = 10.0
 
     def __post_init__(self):
-        if self.divisor <= 0.0:
-            raise ValueError("divisor must be positive")
+        if not 0.0 < self.divisor < math.inf:
+            raise ValueError("divisor must be positive and finite")
+        if not all(math.isfinite(m) for m in self.milestones):
+            raise ValueError("milestones must be finite")
 
     def learning_rate(self, base_lr: float, steps_taken: int) -> float:
         passed = sum(
@@ -42,12 +45,16 @@ class BaselineConfig:
     schedule: StepDecaySchedule | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
+        if not 0.0 <= self.beta1 < 1.0:
+            raise ValueError("beta1 must lie in [0, 1)")
         if not 0.0 < self.beta2 < 1.0:
             raise ValueError("beta2 must lie in (0, 1)")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
     def lr_at(self, steps_taken: int) -> float:
         if self.schedule is None:
@@ -122,7 +129,7 @@ def run_baseline(
         lr = config.lr_at(state.t)
         log.rows.append(LogRow(state.t + 1, "sgd", loss, lr, None, None))
         if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite training loss at step {state.t + 1}")
+            raise DivergenceError(f"non-finite training loss at step {state.t + 1}", log)
         gradient = problem.batch_gradient(state.theta, batch)
         step_fn(state, gradient, config)
     return state.theta, log

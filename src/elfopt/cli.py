@@ -13,7 +13,7 @@ cross_section keys and adam.learning_rate carry a default of their own.
 
 Artifacts written per run:
     config.txt          resolved configuration snapshot
-    training_log.csv    one row per batch load (step, event, losses, trigger terms)
+    training_log.csv    one row per batch load, one column per LogRow field
     line_<i>.csv        sampled (round, s, loss) triples of line search i
     fits.csv            chosen fit per line search, coefficients empty-padded
     cross_section.csv   only in --dump-cross-section mode
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineConfig, StepDecaySchedule, run_baseline
-from .controller import DivergenceError, ElfConfig, TrainingLog, run
+from .controller import DivergenceError, ElfConfig, LogRow, TrainingLog, run
 from .linesearch import LineSearchConfig
 from .problems import LogisticBlobs, MlpBlobs, NoisyQuadraticEnsemble, cross_section_profile
 from .seeding import rng_streams
@@ -87,10 +87,12 @@ OPTIMIZER_NAMES = ("elf", "sgd", "adam")
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return "%.17g" % value
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join("%.17g" % v for v in value)
     return str(value)
@@ -152,14 +154,11 @@ class RunConfig:
 
 
 def build_section(config: RunConfig, prefix: str, **extra):
-    """Build a section's class from its keys, each value cast to the type of
-    its default; extra keyword arguments come from outside the section. A
-    value the class rejects is a configuration error."""
+    """Build a section's class from its keys and the extra keyword arguments;
+    a value the class rejects is a configuration error."""
     cls, names = SECTIONS[prefix]
-    keys = [f"{prefix}.{name}" for name in names]
     try:
-        values = {name: type(DEFAULTS[key])(config[key]) for name, key in zip(names, keys)}
-        return cls(**values, **extra)
+        return cls(**{name: config[f"{prefix}.{name}"] for name in names}, **extra)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -170,43 +169,42 @@ def build_problem(config: RunConfig, data_rng):
         raise ConfigError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
     if name == "quadratic":
         return build_section(config, name, rng=data_rng)
-    return build_section(config, name, batch_size=int(config["batch_size"]), rng=data_rng)
+    return build_section(config, name, batch_size=config["batch_size"], rng=data_rng)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return "%.17g" % float(value)
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a header of column names, then each row's cells through format_value."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(format_value, row)) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_training_log(path: Path, log: TrainingLog) -> None:
-    lines = ["step,event,train_loss,update_step,expected_improvement,real_improvement"]
-    for row in log.rows:
-        lines.append(
-            f"{row.step},{row.event},{_fmt(row.train_loss)},{_fmt(row.update_step)},"
-            f"{_fmt(row.expected_improvement)},{_fmt(row.real_improvement)}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, LogRow._fields, log.rows)
 
 
 def write_line_csvs(out_dir: Path, log: TrainingLog) -> None:
     for index, search in enumerate(log.line_searches):
-        lines = ["round,s,loss"]
-        for r, s, loss in zip(
-            search.rounds, search.samples.positions, search.samples.losses
-        ):
-            lines.append(f"{int(r)},{_fmt(s)},{_fmt(loss)}")
-        (out_dir / f"line_{index}.csv").write_text("\n".join(lines) + "\n")
+        _write_csv(out_dir / f"line_{index}.csv", ("round", "s", "loss"),
+                   zip(search.rounds.tolist(), search.samples.positions.tolist(),
+                       search.samples.losses.tolist()))
 
 
 def write_fits_csv(path: Path, log: TrainingLog, max_degree: int) -> None:
-    header = "line_index,degree," + ",".join(f"c{i}" for i in range(max_degree + 1))
-    lines = [header]
+    rows = []
     for index, search in enumerate(log.line_searches):
-        coef = list(search.fit.polynomial.coefficients)
-        padded = [_fmt(c) for c in coef] + [""] * (max_degree + 1 - len(coef))
-        lines.append(f"{index},{search.fit.chosen_degree}," + ",".join(padded))
-    path.write_text("\n".join(lines) + "\n")
+        coef = search.fit.polynomial.coefficients.tolist()
+        padding = [None] * (max_degree + 1 - len(coef))
+        rows.append([index, search.fit.chosen_degree, *coef, *padding])
+    _write_csv(path, ["line_index", "degree", *(f"c{i}" for i in range(max_degree + 1))], rows)
+
+
+def _open_out_dir(config: RunConfig) -> Path:
+    """Create the output directory and write config.txt; call after validation."""
+    out_dir = Path(config["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.txt").write_text(config.serialize())
+    return out_dir
 
 
 def run_experiment(config: RunConfig) -> int:
@@ -215,9 +213,9 @@ def run_experiment(config: RunConfig) -> int:
     optimizer = config["optimizer"]
     if optimizer not in OPTIMIZER_NAMES:
         raise ConfigError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_NAMES}")
-    streams = rng_streams(int(config["seed"]))
+    streams = rng_streams(config["seed"])
     problem = build_problem(config, streams.data)
-    steps = int(config["steps"])
+    steps = config["steps"]
     if steps < 1:
         raise ConfigError("steps must be >= 1")
     if optimizer == "elf":
@@ -225,14 +223,9 @@ def run_experiment(config: RunConfig) -> int:
     else:
         schedule = build_section(config, "schedule", total_steps=steps)
         baseline_config = build_section(config, optimizer, schedule=schedule)
-    quiet = bool(config["quiet"])
-
-    out_dir = Path(str(config["out"]))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(config.serialize())
+    out_dir = _open_out_dir(config)
 
     exit_code = 0
-    log = TrainingLog()
     try:
         if optimizer == "elf":
             _, log = run(problem, elf_config, steps, streams)
@@ -240,15 +233,14 @@ def run_experiment(config: RunConfig) -> int:
             _, log = run_baseline(problem, optimizer, baseline_config, steps, streams)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
-        exit_code = 2
+        log, exit_code = exc.log, 2
 
     write_training_log(out_dir / "training_log.csv", log)
     write_line_csvs(out_dir, log)
-    write_fits_csv(out_dir / "fits.csv", log, int(config["elf.line.max_degree"]))
+    write_fits_csv(out_dir / "fits.csv", log, config["elf.line.max_degree"])
 
-    if not quiet:
-        total = len(log.rows)
-        print(f"run complete: {total} steps "
+    if not config["quiet"]:
+        print(f"run complete: {len(log.rows)} steps "
               f"(sgd={log.count('sgd')}, line_search={log.count('line_search')}, "
               f"grid_search={log.count('grid_search')}), "
               f"{len(log.line_searches)} line searches, artifacts in {out_dir}")
@@ -258,11 +250,11 @@ def run_experiment(config: RunConfig) -> int:
 def dump_cross_section(config: RunConfig) -> int:
     """Densely sample every training batch's loss along one direction from
     the initial parameters and write the profile CSV."""
-    streams = rng_streams(int(config["seed"]))
+    streams = rng_streams(config["seed"])
     problem = build_problem(config, streams.data)
     theta0 = np.asarray(problem.initial_theta(streams.theta_init), dtype=float)
 
-    mode = str(config["cross_section.direction"])
+    mode = config["cross_section.direction"]
     if mode == "batch_gradient":
         gradient = problem.batch_gradient(theta0, problem.train_batches[0])
         norm = float(np.linalg.norm(gradient))
@@ -275,30 +267,22 @@ def dump_cross_section(config: RunConfig) -> int:
     else:
         raise ConfigError(f"unknown cross_section.direction {mode!r}")
 
-    points = int(config["cross_section.points"])
+    points = config["cross_section.points"]
     if points < 1:
         raise ConfigError("cross_section.points must be >= 1")
-    s_grid = np.linspace(
-        float(config["cross_section.s_min"]),
-        float(config["cross_section.s_max"]),
-        points,
-    )
-    profile = cross_section_profile(problem, theta0, direction, s_grid)
+    s_min, s_max = config["cross_section.s_min"], config["cross_section.s_max"]
+    if not np.isfinite([s_min, s_max]).all():
+        raise ConfigError("cross_section.s_min and cross_section.s_max must be finite")
+    profile = cross_section_profile(problem, theta0, direction, np.linspace(s_min, s_max, points))
 
-    out_dir = Path(str(config["out"]))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(config.serialize())
-    lines = ["series,s,loss"]
-    for i in range(profile.per_batch.shape[0]):
-        for j, s in enumerate(profile.s_grid):
-            lines.append(f"batch_{i},{_fmt(s)},{_fmt(profile.per_batch[i, j])}")
-    for name, curve in (("mean", profile.mean), ("q1", profile.q1),
-                        ("q2", profile.q2), ("q3", profile.q3)):
-        for j, s in enumerate(profile.s_grid):
-            lines.append(f"{name},{_fmt(s)},{_fmt(curve[j])}")
-    (out_dir / "cross_section.csv").write_text("\n".join(lines) + "\n")
+    out_dir = _open_out_dir(config)
+    series = [(f"batch_{i}", curve) for i, curve in enumerate(profile.per_batch)]
+    series += [("mean", profile.mean), ("q1", profile.q1), ("q2", profile.q2), ("q3", profile.q3)]
+    _write_csv(out_dir / "cross_section.csv", ("series", "s", "loss"),
+               [(name, s, loss) for name, curve in series
+                for s, loss in zip(profile.s_grid.tolist(), curve.tolist())])
 
-    if not bool(config["quiet"]):
+    if not config["quiet"]:
         print(f"cross section written: {profile.per_batch.shape[0]} batches x "
               f"{points} points, artifacts in {out_dir}")
     return 0
@@ -337,18 +321,11 @@ def config_from_args(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         config.set(key.strip(), parse_value(key.strip(), value))
-    for key, value in (
-        ("problem", args.problem),
-        ("optimizer", args.optimizer),
-        ("steps", args.steps),
-        ("batch_size", args.batch_size),
-        ("seed", args.seed),
-        ("out", args.out),
-    ):
-        if value is not None:
+    # Named flags share their config keys' names; an unset flag is None
+    # (False for --quiet), so --seed 0 still overrides a file's seed.
+    for key, value in vars(args).items():
+        if key in DEFAULTS and value is not None and value is not False:
             config.set(key, value)
-    if args.quiet:
-        config.set("quiet", True)
     return config
 
 
@@ -362,9 +339,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,12 @@ from .seeding import RngStreams
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a training loss stops being finite."""
+    """Raised when a training loss stops being finite; log holds every load
+    up to and including the non-finite one."""
+
+    def __init__(self, message: str, log: TrainingLog):
+        super().__init__(message)
+        self.log = log
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,7 @@ class ElfConfig:
     def __post_init__(self):
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
-        if self.loss_improvement_factor < 0.0:
+        if not 0.0 <= self.loss_improvement_factor:
             raise ValueError("loss_improvement_factor must be >= 0")
         if not 0.0 <= self.momentum_beta < 1.0:
             raise ValueError("momentum_beta must lie in [0, 1)")
@@ -72,8 +78,7 @@ class OptimizerState:
     current_batch: object = None
 
 
-@dataclass(frozen=True)
-class LogRow:
+class LogRow(NamedTuple):
     step: int
     event: str                     # "sgd", "line_search", or "grid_search"
     train_loss: float
@@ -208,7 +213,7 @@ def trigger_line_searches(
             _, loss = _load(problem, sample_stream, theta0 + s * direction, state, log,
                             "line_search", state.update_step)
             if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite line-search loss at step {state.t}")
+                raise DivergenceError(f"non-finite line-search loss at step {state.t}", log)
             return loss
 
         result = elf_line_search(oracle, config.line_search, line_rng, cv_rng)
@@ -320,7 +325,7 @@ def _sgd_step(problem, state, train_stream, log, expected=None, real=None):
     state.current_batch, loss = _load(
         problem, train_stream, state.theta, state, log, "sgd", state.update_step, expected, real)
     if not math.isfinite(loss):
-        raise DivergenceError(f"non-finite training loss at step {state.t}")
+        raise DivergenceError(f"non-finite training loss at step {state.t}", log)
     state.theta = _unit_step(problem, state.theta, state.current_batch, state.update_step)
     state.losses.append(loss)
 

@@ -88,7 +88,7 @@ def chose_sample_interval(
     samples: SampleSet,
     fit: Polynomial,
     min_window_size: int,
-    current_width: float | None = None,
+    current_width: float,
 ) -> float:
     """Pick the next sampling interval width around the located minimum.
 
@@ -99,8 +99,6 @@ def chose_sample_interval(
     reaches that level, twice the minimum position (or twice the smallest
     positive sample) is used.
     """
-    if current_width is None:
-        current_width = float(samples.positions.max())
     in_strip = (samples.positions >= 0.0) & (samples.positions <= 2.0 * minimum_position)
     if int(in_strip.sum()) < min_window_size:
         order = np.argsort(np.abs(samples.positions - minimum_position), kind="stable")

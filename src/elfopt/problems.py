@@ -154,6 +154,13 @@ def _check_sizes(**sizes):
             raise ValueError(f"{name} must be >= 1")
 
 
+def _check_blob_spread(separation, cluster_std):
+    if not np.isfinite(separation):
+        raise ValueError("separation must be finite")
+    if not 0.0 <= cluster_std < np.inf:
+        raise ValueError("cluster_std must lie in [0, inf)")
+
+
 def _sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
@@ -210,6 +217,7 @@ class LogisticBlobs:
         rng: np.random.Generator | None = None,
     ):
         _check_sizes(n_features=n_features)
+        _check_blob_spread(separation, cluster_std)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = n_features + 1
         offset = 0.5 * separation / np.sqrt(n_features)
@@ -264,6 +272,7 @@ class MlpBlobs:
         rng: np.random.Generator | None = None,
     ):
         _check_sizes(n_features=n_features, hidden1=hidden1, hidden2=hidden2)
+        _check_blob_spread(separation, cluster_std)
         rng = rng if rng is not None else np.random.default_rng(0)
         angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
         centers = np.zeros((n_classes, n_features))

@@ -7,14 +7,23 @@ import pytest
 from elfopt.cli import (
     ConfigError,
     RunConfig,
+    build_parser,
     build_problem,
+    config_from_args,
     dump_cross_section,
     format_value,
     main,
     parse_value,
     run_experiment,
+    write_fits_csv,
+    write_line_csvs,
+    write_training_log,
 )
+from elfopt.controller import LogRow, TrainingLog
+from elfopt.linesearch import LineSearchResult
+from elfopt.poly import Polynomial
 from elfopt.problems import empirical_loss
+from elfopt.regression import FitReport, SampleSet
 from elfopt.seeding import rng_streams
 
 FAST_ELF = [
@@ -136,6 +145,14 @@ def test_cli_precedence_file_then_set_then_flags(tmp_path):
     assert "batch_size=10\n" in snapshot    # file beats default
 
 
+def test_zero_valued_flag_overrides_the_config_file(tmp_path):
+    config_file = tmp_path / "base.cfg"
+    config_file.write_text("seed=5\nsteps=7\nquiet=true\n")
+    config = config_from_args(build_parser().parse_args(["--config", str(config_file),
+                                                         "--seed", "0"]))
+    assert (config["seed"], config["steps"], config["quiet"]) == (0, 7, True)
+
+
 def test_identical_configs_produce_byte_identical_artifacts(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -155,6 +172,39 @@ def test_identical_configs_produce_byte_identical_artifacts(tmp_path):
             assert a.replace(str(outs[0]).encode(), b"") == b.replace(str(outs[1]).encode(), b"")
         else:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_writers_bytes_are_pinned_on_a_hand_built_log(tmp_path):
+    log = TrainingLog(rows=[
+        LogRow(1, "grid_search", 0.1, 1e-4, None, None),
+        LogRow(2, "line_search", np.float64(2) / 3, 1.0, None, None),
+        LogRow(3, "sgd", 1e-300, 0.5, -0.0, 12345.678),
+    ])
+    fit = FitReport(Polynomial(np.array([1.0, -0.25, 1 / 3])), 2, np.array([1.0, 0.5, 0.25]))
+    log.line_searches.append(LineSearchResult(
+        minimum_position=0.375, expected_improvement=0.046875, batches_consumed=3, fit=fit,
+        samples=SampleSet(np.array([0.0, 0.1, 0.7]), np.array([1.0, 0.95, 1 / 3])),
+        rounds=np.array([0, 0, 1])))
+    write_training_log(tmp_path / "training_log.csv", log)
+    write_line_csvs(tmp_path, log)
+    write_fits_csv(tmp_path / "fits.csv", log, max_degree=4)
+
+    assert (tmp_path / "training_log.csv").read_text() == (
+        "step,event,train_loss,update_step,expected_improvement,real_improvement\n"
+        "1,grid_search,0.10000000000000001,0.0001,,\n"
+        "2,line_search,0.66666666666666663,1,,\n"
+        "3,sgd,1e-300,0.5,-0,12345.678\n"
+    )
+    assert (tmp_path / "line_0.csv").read_text() == (
+        "round,s,loss\n"
+        "0,0,1\n"
+        "0,0.10000000000000001,0.94999999999999996\n"
+        "1,0.69999999999999996,0.33333333333333331\n"
+    )
+    assert (tmp_path / "fits.csv").read_text() == (
+        "line_index,degree,c0,c1,c2,c3,c4\n"
+        "0,2,1,-0.25,0.33333333333333331,,\n"
+    )
 
 
 def test_elf_run_emits_line_search_rows_and_fits(tmp_path):
@@ -243,12 +293,41 @@ def test_line_search_config_errors_exit_1_before_training(tmp_path, capsys, sett
     ["--problem", "mlp", "--set", "mlp.n_features=0"],
     ["--problem", "mlp", "--set", "mlp.hidden1=0"],
     ["--problem", "mlp", "--set", "mlp.hidden2=0"],
+    ["--set", "elf.loss_improvement_factor=nan"],
+    ["--optimizer", "sgd", "--set", "sgd.learning_rate=nan"],
+    ["--optimizer", "adam", "--set", "adam.learning_rate=inf"],
+    ["--optimizer", "adam", "--set", "adam.beta1=1"],
+    ["--optimizer", "adam", "--set", "adam.beta1=nan"],
+    ["--optimizer", "adam", "--set", "adam.epsilon=nan"],
+    ["--optimizer", "adam", "--set", "adam.epsilon=-1"],
+    ["--optimizer", "sgd", "--set", "schedule.divisor=nan"],
+    ["--optimizer", "sgd", "--set", "schedule.milestones=nan"],
+    ["--problem", "logistic", "--set", "logistic.separation=nan"],
+    ["--problem", "logistic", "--set", "logistic.cluster_std=nan"],
+    ["--problem", "mlp", "--set", "mlp.separation=inf"],
+    ["--dump-cross-section", "--set", "cross_section.s_max=inf"],
 ], ids=lambda args: args[-1])
 def test_problem_and_schedule_errors_exit_1_before_writing(tmp_path, capsys, args):
     out = tmp_path / "nothing"
     assert main([*args, "--out", str(out), "--quiet"]) == 1
     assert not out.exists()
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, rows, last_row", [
+    (["--set", "elf.grid_search_candidates=1e300", "--steps", "400"], 42, "42,line_search,nan,"),
+    (["--optimizer", "sgd", "--set", "sgd.learning_rate=1e300", "--steps", "50"], 2, "2,sgd,nan,"),
+], ids=["elf", "sgd"])
+def test_diverged_run_exits_2_and_keeps_its_log(tmp_path, capsys, args, rows, last_row):
+    out = tmp_path / "run"
+    # Both values validate; the overflow they cause is what the test is about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*args, "--out", str(out), "--quiet"]) == 2
+    assert "divergence:" in capsys.readouterr().err
+    lines = (out / "training_log.csv").read_text().splitlines()
+    assert len(lines) - 1 == rows
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, rows + 1))
+    assert lines[-1].startswith(last_row)
 
 
 def test_sub_streams_do_not_perturb_each_other(tmp_path):

@@ -417,8 +417,13 @@ def test_run_aborts_on_divergence():
     config = ElfConfig(grid_search_candidates=(1e4,), grid_search_probe_steps=2,
                        line_search=LineSearchConfig(k=1, n=10, min_window_size=5),
                        lines_to_average=1, window_size=10)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as raised:
         run(problem, config, steps_to_train=2000, streams=streams)
+    # The error carries every load up to and including the non-finite one.
+    rows = raised.value.log.rows
+    assert [row.step for row in rows] == list(range(1, len(rows) + 1))
+    assert not np.isfinite(rows[-1].train_loss)
+    assert str(raised.value).endswith(f"at step {len(rows)}")
 
 
 # ---------------------------------------------------------------------------
