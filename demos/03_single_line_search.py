@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """One adaptive line search on a noisy batch-loss oracle.
 
-The oracle measures one batch loss per call. The search runs five rounds of
-100 samples, re-choosing the sampling interval after each round so the point
-cloud around the located minimum stays wider than high, and its final fitted
-minimum is compared against the brute-force minimizer of the exact average
-curve over all batches.
+The round oracle measures a whole round of step sizes at once, one fresh
+batch per step size. The search runs five rounds of 100 samples, re-choosing
+the sampling interval after each round so the point cloud around the located
+minimum stays wider than high, and its final fitted minimum is compared
+against the brute-force minimizer of the exact average curve over all
+batches.
 """
 
 import numpy as np
 
 from elfopt.linesearch import LineSearchConfig, elf_line_search
-from elfopt.problems import BatchStream, NoisyQuadraticEnsemble
+from elfopt.problems import BatchStream, NoisyQuadraticEnsemble, batch_losses_along
 from elfopt.seeding import rng_streams, substream
 
 streams = rng_streams(0)
@@ -24,7 +25,7 @@ stream = BatchStream(problem.train_batches, substream(0, "demo_batches"))
 
 
 def oracle(s):
-    return problem.batch_loss(theta0 + s * direction, stream.next_batch())
+    return batch_losses_along(problem, theta0, direction, s, stream.next_batches(s.size))
 
 
 result = elf_line_search(oracle, LineSearchConfig(), streams.line_search,

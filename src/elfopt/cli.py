@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import numbers
 import sys
 from pathlib import Path
 
@@ -121,6 +122,32 @@ def parse_value(key: str, text: str):
         raise ConfigError(f"cannot parse value for {key!r}: {text!r}") from exc
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_value(key: str, value):
+    """value as the type of key's default, or ConfigError when it has
+    another type. An integer is taken for a float, and a tuple or list of
+    numbers for a tuple of floats."""
+    if key not in DEFAULTS:
+        raise ConfigError(f"unknown config key {key!r}")
+    default = DEFAULTS[key]
+    if isinstance(default, bool):
+        if isinstance(value, bool):
+            return value
+    elif isinstance(default, int):
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            return int(value)
+    elif isinstance(default, float):
+        if _is_real(value):
+            return float(value)
+    elif isinstance(default, tuple):
+        if isinstance(value, (tuple, list)) and all(map(_is_real, value)):
+            return tuple(float(v) for v in value)
+    raise ConfigError(f"{key!r} takes {type(default).__name__} values, got {value!r}")
+
+
 class RunConfig:
     """Resolved flat configuration; every key always present."""
 
@@ -131,9 +158,10 @@ class RunConfig:
         return self.values[key]
 
     def set(self, key: str, value) -> None:
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        self.values[key] = value
+        """Set key to value, typed on entry: text goes through parse_value,
+        anything else through _check_value."""
+        typed = parse_value if isinstance(value, str) else _check_value
+        self.values[key] = typed(key, value)
 
     def serialize(self) -> str:
         return "".join(f"{k}={format_value(v)}\n" for k, v in self.values.items())
@@ -148,8 +176,7 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
             key, _, value = line.partition("=")
-            key = key.strip()
-            config.set(key, parse_value(key, value))
+            config.set(key.strip(), value)
         return config
 
 
@@ -320,7 +347,7 @@ def config_from_args(args) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        config.set(key.strip(), parse_value(key.strip(), value))
+        config.set(key.strip(), value)
     # Named flags share their config keys' names; an unset flag is None
     # (False for --quiet), so --seed 0 still overrides a file's seed.
     for key, value in vars(args).items():

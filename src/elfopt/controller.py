@@ -9,7 +9,10 @@ suggested step sizes, and training resumes with the new step.
 
 Step accounting is strict and lives in one function, _load: every batch
 load (SGD step, line-search sample, grid-search probe) goes through it, and it
-advances the step counter by exactly one and emits one training-log row.
+advances the step counter by exactly one and emits one training-log row per
+load. A line search hands it a whole round at once: its round oracle loads
+one batch per step size and measures them all with one batch_losses_along
+call.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .linesearch import MIN_INTERVAL_WIDTH, LineSearchConfig, LineSearchResult, elf_line_search
 from .poly import Polynomial, evaluate, real_roots_in
-from .problems import BatchStream
+from .problems import BatchStream, batch_losses_along
 from .seeding import RngStreams
 
 
@@ -158,8 +161,8 @@ def initial_grid_search(
     candidates = sorted(config.grid_search_candidates, reverse=True)
     theta0 = state.theta.copy()
 
-    baseline_losses = [_load(problem, train_stream, theta0, state, log, "grid_search")[1]
-                       for _ in range(probe)]
+    _, baseline_losses = _load(
+        train_stream, probe, _losses_at(problem, theta0), state, log, "grid_search")
     # The loss level at theta0 is the first search phase's reference level.
     baseline = state.last_mean_loss = float(np.mean(baseline_losses))
 
@@ -167,8 +170,8 @@ def initial_grid_search(
         theta = theta0
         probe_losses = []
         for _ in range(probe):
-            state.current_batch, loss = _load(
-                problem, train_stream, theta, state, log, "grid_search", candidate)
+            (state.current_batch,), (loss,) = _load(
+                train_stream, 1, _losses_at(problem, theta), state, log, "grid_search", candidate)
             theta = _unit_step(problem, theta, state.current_batch, candidate)
             probe_losses.append(loss)
         if float(np.mean(probe_losses)) < baseline:
@@ -209,12 +212,12 @@ def trigger_line_searches(
         direction = -state.momentum_buffer / norm
         theta0 = state.theta.copy()
 
-        def oracle(s: float) -> float:
-            _, loss = _load(problem, sample_stream, theta0 + s * direction, state, log,
-                            "line_search", state.update_step)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite line-search loss at step {state.t}", log)
-            return loss
+        def oracle(s: np.ndarray) -> list[float]:
+            def along(batches):
+                return batch_losses_along(problem, theta0, direction, s, batches).tolist()
+
+            return _load(sample_stream, s.size, along, state, log, "line_search",
+                         state.update_step)[1]
 
         result = elf_line_search(oracle, config.line_search, line_rng, cv_rng)
         log.line_searches.append(result)
@@ -322,23 +325,41 @@ def run(
 
 def _sgd_step(problem, state, train_stream, log, expected=None, real=None):
     """One unit-gradient SGD step: the displacement norm equals update_step."""
-    state.current_batch, loss = _load(
-        problem, train_stream, state.theta, state, log, "sgd", state.update_step, expected, real)
-    if not math.isfinite(loss):
-        raise DivergenceError(f"non-finite training loss at step {state.t}", log)
+    (state.current_batch,), (loss,) = _load(
+        train_stream, 1, _losses_at(problem, state.theta), state, log, "sgd",
+        state.update_step, expected, real)
     state.theta = _unit_step(problem, state.theta, state.current_batch, state.update_step)
     state.losses.append(loss)
 
 
-def _load(problem, stream, theta, state, log, event, update_step=None, expected=None, real=None):
-    """Load the next batch from stream and measure its loss at theta: the
-    one place a batch is loaded. Advances the step counter by one, appends
-    the load's training-log row and returns (batch, loss)."""
-    batch = stream.next_batch()
-    loss = float(problem.batch_loss(theta, batch))
-    state.t += 1
-    log.rows.append(LogRow(state.t, event, loss, update_step, expected, real))
-    return batch, loss
+# Events whose non-finite loss ends the run, with the loss's name in the
+# error; a grid-search probe that blows up only loses its comparison.
+_DIVERGES = {"sgd": "training", "line_search": "line-search"}
+
+
+def _load(stream, count, measure, state, log, event, update_step=None, expected=None, real=None):
+    """Load the next count batches from stream and measure them with
+    measure(batches), which returns a list of one float loss per batch: the
+    one place batches are loaded. Advances the step counter by one per load,
+    appends one training-log row per load and returns (batches, losses).
+
+    For an sgd or line_search load, the first non-finite loss raises
+    DivergenceError; the log then ends with that load's row.
+    """
+    batches = stream.next_batches(count)
+    losses = measure(batches)
+    diverges = event in _DIVERGES
+    for loss in losses:
+        state.t += 1
+        log.rows.append(LogRow(state.t, event, loss, update_step, expected, real))
+        if diverges and not math.isfinite(loss):
+            raise DivergenceError(f"non-finite {_DIVERGES[event]} loss at step {state.t}", log)
+    return batches, losses
+
+
+def _losses_at(problem, theta):
+    """A measure for _load: every batch's loss at the one point theta."""
+    return lambda batches: [float(problem.batch_loss(theta, batch)) for batch in batches]
 
 
 def _unit_step(problem, theta, batch, step):

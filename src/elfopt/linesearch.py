@@ -2,10 +2,10 @@
 direction, fit a cross-validated polynomial, and step to its minimum.
 
 The search runs k rounds. Each round draws n step sizes uniformly at random
-from [0, interval_width], measures one batch loss per step size, refits over
-all accumulated samples, and relocates the minimum nearest the origin. From
-round 1 on the sampling interval is re-chosen so the point cloud around the
-minimum stays wider than high.
+from [0, interval_width], measures one batch loss per step size with a single
+call of the round oracle, refits over all accumulated samples, and relocates
+the minimum nearest the origin. From round 1 on the sampling interval is
+re-chosen so the point cloud around the minimum stays wider than high.
 """
 
 from __future__ import annotations
@@ -120,23 +120,24 @@ def chose_sample_interval(
 
 
 def elf_line_search(
-    direction_oracle: Callable[[float], float],
+    oracle: Callable[[np.ndarray], np.ndarray],
     config: LineSearchConfig,
     rng: np.random.Generator,
     cv_rng: np.random.Generator | None = None,
 ) -> LineSearchResult:
     """Run the full adaptive-interval line search along one direction.
 
-    direction_oracle maps a step size s to one batch loss measured at that
-    step; it must draw a fresh batch per call. Every call is counted in
-    batches_consumed, including one baseline measurement at s=0 that anchors
-    the fit's value at the origin.
+    oracle is a round oracle: it maps an array of step sizes to an array
+    holding one batch loss per step size, each measured on a fresh batch in
+    the order given. It is called once with [0.0], the baseline that anchors
+    the fit's value at the origin, and once per round with that round's n
+    sorted step sizes. Every loss is counted in batches_consumed.
     """
     if cv_rng is None:
         cv_rng = rng
     width = config.initial_interval_width
     positions: list[float] = [0.0]
-    losses: list[float] = [float(direction_oracle(0.0))]
+    losses: list[float] = _measure(oracle, np.zeros(1))
     rounds: list[int] = [0]
 
     samples = SampleSet(np.array(positions), np.array(losses))
@@ -155,10 +156,10 @@ def elf_line_search(
                 # origin, otherwise shrink to resolve smaller steps.
                 slope = evaluate(derivative(report.polynomial), 0.0)
                 width = width * 2.0 if slope <= 0.0 else width * 0.5
-        for s in np.sort(rng.uniform(0.0, width, config.n)):
-            positions.append(float(s))
-            losses.append(float(direction_oracle(float(s))))
-            rounds.append(r)
+        s = np.sort(rng.uniform(0.0, width, config.n))
+        positions.extend(s.tolist())
+        losses.extend(_measure(oracle, s))
+        rounds.extend([r] * config.n)
         samples = SampleSet(np.array(positions), np.array(losses))
         report = select_degree_and_fit(samples, config.max_degree, config.folds, cv_rng)
         scan_end = EXTRAPOLATION_FACTOR * max(width, float(samples.positions.max()))
@@ -176,3 +177,11 @@ def elf_line_search(
         samples=samples,
         rounds=np.array(rounds),
     )
+
+
+def _measure(oracle: Callable[[np.ndarray], np.ndarray], s: np.ndarray) -> list[float]:
+    """One call of the round oracle, checked to return one loss per step size."""
+    losses = np.asarray(oracle(s), dtype=float)
+    if losses.shape != s.shape:
+        raise ValueError(f"the oracle returned shape {losses.shape} for {s.size} step sizes")
+    return losses.tolist()

@@ -5,6 +5,12 @@ collections, a pure batch_loss(theta, batch), its analytic gradient, and a
 seeded initial parameter vector. Datasets are generated, never downloaded, so
 everything runs offline and the empirical-loss geometry stays checkable
 against closed forms or brute force.
+
+A problem may also define batch_losses_along(theta0, direction, s, batches),
+which measures many (step size, batch) pairs on one line in a single stacked
+evaluation; the module function batch_losses_along falls back to a loop over
+batch_loss for problems without it (MlpBlobs, whose stacked forward pass
+would cost more than the loop).
 """
 
 from __future__ import annotations
@@ -22,16 +28,24 @@ class BatchStream:
             raise ValueError("batch collection is empty")
         self._batches = list(batches)
         self._rng = rng
-        self._order = rng.permutation(len(self._batches))
+        self._order = rng.permutation(len(self._batches)).tolist()
         self._cursor = 0
 
     def next_batch(self):
-        if self._cursor >= len(self._order):
-            self._order = self._rng.permutation(len(self._batches))
-            self._cursor = 0
-        batch = self._batches[self._order[self._cursor]]
-        self._cursor += 1
-        return batch
+        return self.next_batches(1)[0]
+
+    def next_batches(self, count: int) -> list:
+        """The next count batches: what count next_batch() calls return, in
+        the same order and with the same epoch reshuffles."""
+        picked = []
+        while len(picked) < count:
+            if self._cursor == len(self._order):
+                self._order = self._rng.permutation(len(self._batches)).tolist()
+                self._cursor = 0
+            end = min(len(self._order), self._cursor + count - len(picked))
+            picked += self._order[self._cursor:end]
+            self._cursor = end
+        return [self._batches[i] for i in picked]
 
 
 def empirical_loss(problem, theta: np.ndarray) -> float:
@@ -39,6 +53,24 @@ def empirical_loss(problem, theta: np.ndarray) -> float:
     return float(
         np.mean([problem.batch_loss(theta, b) for b in problem.train_batches])
     )
+
+
+def batch_losses_along(problem, theta0, direction, s, batches) -> np.ndarray:
+    """The loss of batches[i] at theta0 + s[i] * direction, for every i.
+
+    Uses the problem's own batch_losses_along(theta0, direction, s, batches)
+    when it has one, and a loop over batch_loss otherwise.
+    """
+    s = np.asarray(s, dtype=float)
+    theta0 = np.asarray(theta0, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    if s.shape != (len(batches),):
+        raise ValueError(f"{len(batches)} batches for step sizes of shape {s.shape}")
+    along = getattr(problem, "batch_losses_along", None)
+    if along is not None:
+        return np.asarray(along(theta0, direction, s, batches), dtype=float)
+    return np.array([problem.batch_loss(theta0 + step * direction, batch)
+                     for step, batch in zip(s.tolist(), batches)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -58,13 +90,10 @@ def cross_section_profile(problem, theta0, direction, s_grid) -> CrossSectionPro
     """Evaluate every training batch's loss at every step size on the line
     theta0 + s * direction."""
     s_grid = np.asarray(s_grid, dtype=float)
-    theta0 = np.asarray(theta0, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    batches = list(problem.train_batches)
-    per_batch = np.empty((len(batches), s_grid.size))
-    for i, batch in enumerate(batches):
-        for j, s in enumerate(s_grid):
-            per_batch[i, j] = problem.batch_loss(theta0 + s * direction, batch)
+    per_batch = np.array([
+        batch_losses_along(problem, theta0, direction, s_grid, [batch] * s_grid.size)
+        for batch in problem.train_batches
+    ])
     return CrossSectionProfile(
         s_grid=s_grid,
         per_batch=per_batch,
@@ -115,6 +144,14 @@ class NoisyQuadraticEnsemble:
     def batch_gradient(self, theta, batch: int) -> np.ndarray:
         d = np.asarray(theta, dtype=float) - self.centers[batch]
         return self.matrices[batch] @ d
+
+    def batch_losses_along(self, theta0, direction, s, batches) -> np.ndarray:
+        # Stacked matmuls in batch_loss's order, (0.5 d'A) d, so each loss
+        # is summed as batch_loss sums it.
+        ids = np.asarray(batches, dtype=int)
+        d = theta0 + s[:, None] * direction - self.centers[ids]
+        half_da = np.matmul(0.5 * d[:, None, :], self.matrices[ids])
+        return np.matmul(half_da, d[:, :, None])[:, 0, 0] + self.offsets[ids]
 
     def initial_theta(self, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(scale=0.5, size=self.dim)
@@ -235,6 +272,16 @@ class LogisticBlobs:
         # log(1 + e^z) - y*z, computed stably
         return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
+    def batch_losses_along(self, theta0, direction, s, batches) -> np.ndarray:
+        # Per-sample parameters cost only len(s) x dim floats and keep
+        # batch_loss's order of operations; the split x@w0 + s*(x@u) would
+        # round differently.
+        x = np.stack([batch[0] for batch in batches])
+        y = np.stack([batch[1] for batch in batches])
+        theta = theta0 + s[:, None] * direction
+        z = np.matmul(x, theta[:, :-1, None])[:, :, 0] + theta[:, -1:]
+        return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
+
     def batch_gradient(self, theta, batch) -> np.ndarray:
         x, y = batch
         residual = _sigmoid(self._logits(theta, x)) - y
@@ -282,26 +329,24 @@ class MlpBlobs:
             n_train, n_val, centers, cluster_std, batch_size, rng)
 
         self.n_classes = n_classes
-        self._shapes = [
-            (n_features, hidden1), (hidden1,),
-            (hidden1, hidden2), (hidden2,),
-            (hidden2, n_classes), (n_classes,),
-        ]
-        self.dim = sum(int(np.prod(s)) for s in self._shapes)
+        # (offset, size, shape) of each weight and bias inside theta.
+        self._layout = []
+        self.dim = 0
+        for shape in [(n_features, hidden1), (hidden1,),
+                      (hidden1, hidden2), (hidden2,),
+                      (hidden2, n_classes), (n_classes,)]:
+            size = int(np.prod(shape))
+            self._layout.append((self.dim, size, shape))
+            self.dim += size
 
     def _unpack(self, theta):
         theta = np.asarray(theta, dtype=float)
-        params = []
-        offset = 0
-        for shape in self._shapes:
-            size = int(np.prod(shape))
-            params.append(theta[offset:offset + size].reshape(shape))
-            offset += size
-        return params
+        return [theta[offset:offset + size].reshape(shape)
+                for offset, size, shape in self._layout]
 
     def initial_theta(self, rng: np.random.Generator) -> np.ndarray:
         chunks = []
-        for shape in self._shapes:
+        for _, _, shape in self._layout:
             if len(shape) == 2:
                 chunks.append(rng.normal(scale=1.0 / np.sqrt(shape[0]), size=shape).ravel())
             else:

@@ -119,6 +119,33 @@ def test_parse_value_types_and_errors():
         parse_value("nonexistent.key", "1")
 
 
+def test_set_types_a_value_once_on_entry():
+    config = RunConfig()
+    config.set("steps", "100")
+    config.set("sgd.learning_rate", 1)
+    config.set("elf.grid_search_candidates", [1, 0.5])
+    config.set("quiet", "yes")
+    assert config["steps"] == 100
+    assert type(config["sgd.learning_rate"]) is float
+    assert config["elf.grid_search_candidates"] == (1.0, 0.5)
+    assert config["quiet"] is True
+    for key, value in [("steps", 1.5), ("steps", True), ("quiet", 1), ("problem", 3),
+                       ("elf.grid_search_candidates", 0.1), ("sgd.learning_rate", None),
+                       ("nonexistent.key", 1), ("steps", "abc")]:
+        with pytest.raises(ConfigError):
+            config.set(key, value)
+
+
+def test_text_set_in_code_runs_like_the_command_line(tmp_path):
+    config = RunConfig()
+    for key, text in [("steps", "100"), ("quadratic.n_batches", "10"), ("quadratic.dim", "4"),
+                      ("elf.line.n", "20"), ("elf.line.min_window_size", "10"),
+                      ("out", str(tmp_path / "run")), ("quiet", "true")]:
+        config.set(key, text)
+    assert run_experiment(config) == 0
+    assert len((tmp_path / "run" / "training_log.csv").read_text().splitlines()) > 100
+
+
 def test_unknown_config_file_key_rejected():
     with pytest.raises(ConfigError):
         RunConfig.deserialize("not_a_key=1\n")

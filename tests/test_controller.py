@@ -426,6 +426,71 @@ def test_run_aborts_on_divergence():
     assert str(raised.value).endswith(f"at step {len(rows)}")
 
 
+class InfiniteBeyond(RiggedLineProblem):
+    """A line whose loss is (s - 1)^2 up to s = 0.5 and infinite past it."""
+
+    def __init__(self):
+        super().__init__([lambda s: (s - 1.0) ** 2 if s <= 0.5 else float("inf")])
+
+
+class StackedInfiniteBeyond(InfiniteBeyond):
+    """The same line, measured a round at a time."""
+
+    def batch_losses_along(self, theta0, direction, s, batches):
+        return np.array([self.profiles[0](abs(step)) for step in s])
+
+
+@pytest.mark.parametrize("make_problem", [InfiniteBeyond, StackedInfiniteBeyond])
+def test_divergence_inside_a_round_keeps_the_log_up_to_the_first_non_finite_load(make_problem):
+    problem = make_problem()
+    config = ElfConfig(lines_to_average=1, momentum_beta=0.0,
+                       line_search=LineSearchConfig(k=1, n=40, min_window_size=5))
+    state = _phase_state()
+    log = TrainingLog()
+    streams = rng_streams(0)
+    stream = BatchStream(problem.train_batches, streams.val_order)
+    with pytest.raises(DivergenceError) as raised:
+        trigger_line_searches(state, config, problem, stream, stream,
+                              streams.line_search, streams.cv, log)
+    rows = raised.value.log.rows
+    # The anchor and the round's first steps (up to 0.5) load; the round
+    # stops at its first step past 0.5, partway through its 40 loads.
+    assert 2 < len(rows) < 1 + 40
+    assert [row.step for row in rows] == list(range(1, state.t + 1))
+    assert all(np.isfinite(row.train_loss) for row in rows[:-1])
+    assert not np.isfinite(rows[-1].train_loss)
+    assert str(raised.value).endswith(f"at step {state.t}")
+
+
+class WithoutRoundOracle:
+    """Delegates to a problem but hides its batch_losses_along, so every
+    line-search round falls back to the batch_loss loop."""
+
+    def __init__(self, problem):
+        self._problem = problem
+
+    def __getattr__(self, name):
+        if name == "batch_losses_along":
+            raise AttributeError(name)
+        return getattr(self._problem, name)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "logistic-hard"])
+def test_round_oracle_and_batch_loss_loop_make_the_same_run(name):
+    make_problem, _ = PINNED_DECISIONS[name]
+    outcomes = []
+    for wrap in (lambda problem: problem, WithoutRoundOracle):
+        streams = rng_streams(0)
+        problem = wrap(make_problem(streams.data))
+        state, log = run(problem, ElfConfig(), 2000, streams)
+        outcomes.append((state.t, [(s.fit.chosen_degree, s.valid) for s in log.line_searches],
+                         np.array([row.train_loss for row in log.rows])))
+    (t_stacked, stacked, losses_stacked), (t_loop, loop, losses_loop) = outcomes
+    assert t_stacked == t_loop
+    assert stacked == loop
+    np.testing.assert_allclose(losses_stacked, losses_loop, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # pinned decisions
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Adaptive-interval line search behavior on noiseless, noisy, and rigged
 loss oracles."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -66,7 +69,8 @@ def test_noisy_batch_quadratics_match_average_curve_oracle():
     pick = np.random.default_rng(100)
 
     def oracle(s):
-        i = pick.integers(n_batches)
+        # one batch per sample, not one per round
+        i = pick.integers(n_batches, size=s.size)
         return a[i] * (s - b[i]) ** 2 + c[i]
 
     result = elf_line_search(oracle, LineSearchConfig(), np.random.default_rng(7))
@@ -84,7 +88,7 @@ def test_batch_accounting_counts_every_oracle_call():
     calls = {"n": 0}
 
     def oracle(s):
-        calls["n"] += 1
+        calls["n"] += len(s)
         return (s - 1.0) ** 2
 
     config = LineSearchConfig(k=3, n=40, folds=5, min_window_size=10)
@@ -156,3 +160,27 @@ def test_second_round_positions_stay_in_adapted_interval():
     for r in range(3):
         in_round = result.samples.positions[result.rounds == r]
         assert (in_round >= 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# demo 03: its printed numbers, captured when the oracle still measured one
+# step size per call
+# ---------------------------------------------------------------------------
+
+DEMO_03 = Path(__file__).resolve().parents[1] / "demos" / "03_single_line_search.py"
+DEMO_03_OUTPUT = (
+    "batches consumed: 501\n"
+    "chosen fit degree: 3\n"
+    "  round 0: 101 samples on [0, 0.997]\n"
+    "  round 1: 100 samples on [0, 1.996]\n"
+    "  round 2: 100 samples on [0, 3.619]\n"
+    "  round 3: 100 samples on [0, 3.287]\n"
+    "  round 4: 100 samples on [0, 3.139]\n"
+    "fitted minimum: s = 1.8640, expected improvement = 1.7103\n"
+    "brute-force minimizer: s = 1.8429 (1.15% away)\n"
+)
+
+
+def test_demo_03_output_is_pinned(capsys):
+    runpy.run_path(str(DEMO_03), run_name="__main__")
+    assert capsys.readouterr().out == DEMO_03_OUTPUT

@@ -2,12 +2,16 @@
 forms of the quadratic ensemble, cross-section diagnostics, batch streams."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elfopt.problems import (
     BatchStream,
     LogisticBlobs,
     MlpBlobs,
     NoisyQuadraticEnsemble,
+    batch_losses_along,
     cross_section_profile,
     empirical_loss,
 )
@@ -52,6 +56,25 @@ def test_directional_derivative_consistency():
         fd = (problem.batch_loss(theta + h * d, batch)
               - problem.batch_loss(theta - h * d, batch)) / (2.0 * h)
         assert abs(float(problem.batch_gradient(theta, batch) @ d) - fd) < 1e-5
+
+
+@pytest.mark.parametrize("index", range(3), ids=["quadratic", "logistic", "mlp"])
+def test_batch_losses_along_matches_the_batch_loss_loop(index):
+    problem = _all_problems()[index]
+    rng = np.random.default_rng(31)
+    theta0 = problem.initial_theta(rng) + rng.normal(scale=0.3, size=problem.dim)
+    d = rng.normal(size=problem.dim)
+    d /= np.linalg.norm(d)
+    # s = 0 twice, negative steps, and the first four samples on one batch
+    s = np.concatenate([[0.0, -0.7, -1e-3, 0.0], rng.uniform(-2.0, 3.0, 40)])
+    picks = rng.integers(len(problem.train_batches), size=s.size)
+    picks[:4] = picks[0]
+    batches = [problem.train_batches[i] for i in picks]
+    looped = [problem.batch_loss(theta0 + step * d, batch) for step, batch in zip(s, batches)]
+    along = batch_losses_along(problem, theta0, d, s, batches)
+    np.testing.assert_allclose(along, looped, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError):
+        batch_losses_along(problem, theta0, d, s, batches[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +160,28 @@ def test_batch_stream_deterministic():
     a = BatchStream(list(range(10)), np.random.default_rng(42))
     b = BatchStream(list(range(10)), np.random.default_rng(42))
     assert [a.next_batch() for _ in range(25)] == [b.next_batch() for _ in range(25)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(size=st.integers(1, 30),
+       counts=st.lists(st.integers(1, 200), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_next_batches_equals_repeated_next_batch(size, counts, seed):
+    batches = [f"batch {i}" for i in range(size)]
+    chunked = BatchStream(batches, np.random.default_rng(seed))
+    single = BatchStream(batches, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    epochs = []
+    while len(epochs) < sum(counts):
+        epochs.extend(batches[i] for i in rng.permutation(size))
+    drawn = []
+    for count in counts:
+        got = chunked.next_batches(count)
+        assert len(got) == count
+        assert got == [single.next_batch() for _ in range(count)]
+        drawn.extend(got)
+    # One fresh permutation per epoch, consumed in order.
+    assert drawn == epochs[:len(drawn)]
 
 
 def test_dataset_generation_is_seed_determined():
