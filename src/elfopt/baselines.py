@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import DivergenceError, LogRow, TrainingLog
+from .controller import TrainingLog
 from .problems import BatchStream
 from .seeding import RngStreams
 
@@ -25,8 +25,8 @@ class StepDecaySchedule:
     def __post_init__(self):
         if not 0.0 < self.divisor < math.inf:
             raise ValueError("divisor must be positive and finite")
-        if not all(math.isfinite(m) for m in self.milestones):
-            raise ValueError("milestones must be finite")
+        if not all(0.0 <= m <= 1.0 for m in self.milestones):
+            raise ValueError("milestones must lie in [0, 1]")
 
     def learning_rate(self, base_lr: float, steps_taken: int) -> float:
         passed = sum(
@@ -113,8 +113,8 @@ def run_baseline(
     steps_to_train: int,
     streams: RngStreams,
 ) -> tuple[np.ndarray, TrainingLog]:
-    """Train with a baseline optimizer; one batch load per step, same log
-    row schema as the line-search optimizer."""
+    """Train with a baseline optimizer; one batch load per step, recorded
+    with TrainingLog.record like the line-search optimizer's loads."""
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown baseline optimizer {optimizer!r}")
     theta0 = problem.initial_theta(streams.theta_init)
@@ -125,11 +125,7 @@ def run_baseline(
     train_stream = BatchStream(problem.train_batches, streams.train_order)
     for _ in range(steps_to_train):
         batch = train_stream.next_batch()
-        loss = float(problem.batch_loss(state.theta, batch))
-        lr = config.lr_at(state.t)
-        log.rows.append(LogRow(state.t + 1, "sgd", loss, lr, None, None))
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite training loss at step {state.t + 1}", log)
+        log.record("sgd", [float(problem.batch_loss(state.theta, batch))], config.lr_at(state.t))
         gradient = problem.batch_gradient(state.theta, batch)
         step_fn(state, gradient, config)
     return state.theta, log

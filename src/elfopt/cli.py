@@ -18,7 +18,7 @@ Artifacts written per run:
     fits.csv            chosen fit per line search, coefficients empty-padded
     cross_section.csv   only in --dump-cross-section mode
 
-Exit codes: 0 success, 1 configuration error, 2 divergence.
+Exit codes: 0 success, 1 configuration or usage error, 2 divergence.
 """
 
 from __future__ import annotations
@@ -315,18 +315,23 @@ def dump_cross_section(config: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors, so a
+    mistyped command line exits 1 like any other bad value."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="elfopt",
         description="Run a training experiment or dump a loss cross section.",
     )
     parser.add_argument("--config", type=str, default=None, help="config file (key=value lines)")
-    parser.add_argument("--problem", type=str, default=None)
-    parser.add_argument("--optimizer", type=str, default=None)
-    parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None)
+    # Each value flag sets its config key; parse_value types it like --set text.
+    for key in ("problem", "optimizer", "steps", "batch_size", "seed", "out"):
+        parser.add_argument("--" + key.replace("_", "-"), default=None)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any config key; repeatable")
     parser.add_argument("--dump-cross-section", action="store_true",
@@ -357,8 +362,8 @@ def config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = config_from_args(args)
         if args.dump_cross_section:
             return dump_cross_section(config)

@@ -7,12 +7,11 @@ window falls below a fraction of the improvement the most recent line fit
 promised, a search phase runs a few consecutive line searches, averages their
 suggested step sizes, and training resumes with the new step.
 
-Step accounting is strict and lives in one function, _load: every batch
-load (SGD step, line-search sample, grid-search probe) goes through it, and it
-advances the step counter by exactly one and emits one training-log row per
-load. A line search hands it a whole round at once: its round oracle loads
-one batch per step size and measures them all with one batch_losses_along
-call.
+Step accounting is strict: every batch load (SGD step, line-search sample,
+grid-search probe) goes through _load, which records it as one row with
+TrainingLog.record, and the step counter state.t is the log's row count. A
+line search hands _load a whole round at once: its round oracle loads one
+batch per step size and measures them all with one batch_losses_along call.
 """
 
 from __future__ import annotations
@@ -68,19 +67,6 @@ class ElfConfig:
             raise ValueError("grid_search_probe_steps must be >= 0")
 
 
-@dataclass
-class OptimizerState:
-    theta: np.ndarray
-    momentum_buffer: np.ndarray
-    update_step: float = 0.0
-    losses: list[float] = field(default_factory=list)
-    last_mean_loss: float = 0.0
-    t: int = 0
-    t_of_last_update: int = -1
-    expected_per_step_improvement: float = np.inf
-    current_batch: object = None
-
-
 class LogRow(NamedTuple):
     step: int
     event: str                     # "sgd", "line_search", or "grid_search"
@@ -90,6 +76,11 @@ class LogRow(NamedTuple):
     real_improvement: float | None
 
 
+# Events whose non-finite loss ends the run, with the loss's name in the
+# error; a grid-search probe that blows up only loses its comparison.
+_DIVERGES = {"sgd": "training", "line_search": "line-search"}
+
+
 @dataclass
 class TrainingLog:
     rows: list[LogRow] = field(default_factory=list)
@@ -97,6 +88,34 @@ class TrainingLog:
 
     def count(self, event: str) -> int:
         return sum(1 for row in self.rows if row.event == event)
+
+    def record(self, event, losses, update_step=None, expected=None, real=None) -> None:
+        """Append one row per loss, numbered on from the log's length; the
+        first non-finite sgd or line_search loss raises DivergenceError with
+        the log ending on its row."""
+        diverges = event in _DIVERGES
+        for step, loss in enumerate(losses, start=len(self.rows) + 1):
+            self.rows.append(LogRow(step, event, loss, update_step, expected, real))
+            if diverges and not math.isfinite(loss):
+                raise DivergenceError(f"non-finite {_DIVERGES[event]} loss at step {step}", self)
+
+
+@dataclass
+class OptimizerState:
+    theta: np.ndarray
+    momentum_buffer: np.ndarray
+    update_step: float = 0.0
+    losses: list[float] = field(default_factory=list)
+    last_mean_loss: float = 0.0
+    t_of_last_update: int = -1
+    expected_per_step_improvement: float = np.inf
+    current_batch: object = None
+    log: TrainingLog = field(default_factory=TrainingLog)
+
+    @property
+    def t(self) -> int:
+        """Batch loads so far: the log's row count."""
+        return len(self.log.rows)
 
 
 def trigger_terms(
@@ -148,7 +167,6 @@ def initial_grid_search(
     config: ElfConfig,
     train_stream: BatchStream,
     state: OptimizerState,
-    log: TrainingLog,
 ) -> float:
     """Probe candidate step sizes from largest to smallest and keep the first
     (largest) whose probe losses beat standing still.
@@ -162,7 +180,7 @@ def initial_grid_search(
     theta0 = state.theta.copy()
 
     _, baseline_losses = _load(
-        train_stream, probe, _losses_at(problem, theta0), state, log, "grid_search")
+        train_stream, probe, _losses_at(problem, theta0), state, "grid_search")
     # The loss level at theta0 is the first search phase's reference level.
     baseline = state.last_mean_loss = float(np.mean(baseline_losses))
 
@@ -171,7 +189,7 @@ def initial_grid_search(
         probe_losses = []
         for _ in range(probe):
             (state.current_batch,), (loss,) = _load(
-                train_stream, 1, _losses_at(problem, theta), state, log, "grid_search", candidate)
+                train_stream, 1, _losses_at(problem, theta), state, "grid_search", candidate)
             theta = _unit_step(problem, theta, state.current_batch, candidate)
             probe_losses.append(loss)
         if float(np.mean(probe_losses)) < baseline:
@@ -187,7 +205,6 @@ def trigger_line_searches(
     val_stream: BatchStream,
     line_rng: np.random.Generator,
     cv_rng: np.random.Generator,
-    log: TrainingLog,
 ) -> None:
     """Measure a new step size with consecutive line searches.
 
@@ -216,11 +233,11 @@ def trigger_line_searches(
             def along(batches):
                 return batch_losses_along(problem, theta0, direction, s, batches).tolist()
 
-            return _load(sample_stream, s.size, along, state, log, "line_search",
+            return _load(sample_stream, s.size, along, state, "line_search",
                          state.update_step)[1]
 
         result = elf_line_search(oracle, config.line_search, line_rng, cv_rng)
-        log.line_searches.append(result)
+        state.log.line_searches.append(result)
         if result.valid:
             s_target = apply_decrease_factor(
                 result.fit.polynomial,
@@ -264,7 +281,7 @@ def run(
     steps_to_train: int,
     streams: RngStreams,
 ) -> tuple[OptimizerState, TrainingLog]:
-    """Train for steps_to_train batch loads and return state plus full log.
+    """Train for steps_to_train batch loads and return (state, state.log).
 
     Start-up: an optional grid search picks the largest workable step size
     (it seeds both the first SGD step and the line-search interval width),
@@ -275,20 +292,19 @@ def run(
         raise ValueError("steps_to_train must be >= 1")
     theta = np.asarray(problem.initial_theta(streams.theta_init), dtype=float).copy()
     state = OptimizerState(theta=theta, momentum_buffer=np.zeros_like(theta))
-    log = TrainingLog()
     train_stream = BatchStream(problem.train_batches, streams.train_order)
     val_stream = BatchStream(problem.validation_batches, streams.val_order)
 
     if config.grid_search_probe_steps > 0 and config.grid_search_candidates:
-        selected = initial_grid_search(problem, config, train_stream, state, log)
+        selected = initial_grid_search(problem, config, train_stream, state)
         state.update_step = float(selected)
         config = replace(config, line_search=replace(
             config.line_search, initial_interval_width=float(selected)))
     if state.current_batch is None:
-        _sgd_step(problem, state, train_stream, log)
+        _sgd_step(problem, state, train_stream)
     trigger_line_searches(
         state, config, problem, train_stream, val_stream,
-        streams.line_search, streams.cv, log,
+        streams.line_search, streams.cv,
     )
 
     while state.t < steps_to_train:
@@ -306,54 +322,40 @@ def run(
             t_before = state.t
             trigger_line_searches(
                 state, config, problem, train_stream, val_stream,
-                streams.line_search, streams.cv, log,
+                streams.line_search, streams.cv,
             )
-            if state.t == t_before:
-                # Zero-norm search direction everywhere: no batch was loaded,
-                # so take an SGD step to keep the run progressing.
-                _sgd_step(problem, state, train_stream, log, expected, real)
-        else:
-            if on_boundary and state.losses:
-                # Window boundary without a search: roll the reference level
-                # so real_improvement keeps measuring progress over the most
-                # recent step window (a plateau then reads as ~0).
-                state.last_mean_loss = mean_window
-                state.losses = []
-            _sgd_step(problem, state, train_stream, log, expected, real)
-    return state, log
+            if state.t > t_before:
+                continue
+            # Zero-norm search direction everywhere: no batch was loaded,
+            # so take an SGD step to keep the run progressing.
+        elif on_boundary and state.losses:
+            # Window boundary without a search: roll the reference level
+            # so real_improvement keeps measuring progress over the most
+            # recent step window (a plateau then reads as ~0).
+            state.last_mean_loss = mean_window
+            state.losses = []
+        _sgd_step(problem, state, train_stream, expected, real)
+    return state, state.log
 
 
-def _sgd_step(problem, state, train_stream, log, expected=None, real=None):
+def _sgd_step(problem, state, train_stream, expected=None, real=None):
     """One unit-gradient SGD step: the displacement norm equals update_step."""
     (state.current_batch,), (loss,) = _load(
-        train_stream, 1, _losses_at(problem, state.theta), state, log, "sgd",
+        train_stream, 1, _losses_at(problem, state.theta), state, "sgd",
         state.update_step, expected, real)
     state.theta = _unit_step(problem, state.theta, state.current_batch, state.update_step)
     state.losses.append(loss)
 
 
-# Events whose non-finite loss ends the run, with the loss's name in the
-# error; a grid-search probe that blows up only loses its comparison.
-_DIVERGES = {"sgd": "training", "line_search": "line-search"}
-
-
-def _load(stream, count, measure, state, log, event, update_step=None, expected=None, real=None):
+def _load(stream, count, measure, state, event, update_step=None, expected=None, real=None):
     """Load the next count batches from stream and measure them with
     measure(batches), which returns a list of one float loss per batch: the
-    one place batches are loaded. Advances the step counter by one per load,
-    appends one training-log row per load and returns (batches, losses).
-
-    For an sgd or line_search load, the first non-finite loss raises
-    DivergenceError; the log then ends with that load's row.
+    one place batches are loaded. Records each load in state.log, which
+    raises DivergenceError at a diverging loss, and returns (batches, losses).
     """
     batches = stream.next_batches(count)
     losses = measure(batches)
-    diverges = event in _DIVERGES
-    for loss in losses:
-        state.t += 1
-        log.rows.append(LogRow(state.t, event, loss, update_step, expected, real))
-        if diverges and not math.isfinite(loss):
-            raise DivergenceError(f"non-finite {_DIVERGES[event]} loss at step {state.t}", log)
+    state.log.record(event, losses, update_step, expected, real)
     return batches, losses
 
 

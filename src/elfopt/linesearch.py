@@ -10,7 +10,7 @@ re-chosen so the point cloud around the minimum stays wider than high.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -68,14 +68,10 @@ class LineSearchResult:
     fit: FitReport
     samples: SampleSet
     rounds: np.ndarray
-    valid: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "valid",
-            self.minimum_position is not None and self.minimum_position > 0.0,
-        )
+    @property
+    def valid(self) -> bool:
+        return self.minimum_position is not None and self.minimum_position > 0.0
 
 
 def third_quartile(values: np.ndarray) -> float:
@@ -139,8 +135,6 @@ def elf_line_search(
     positions: list[float] = [0.0]
     losses: list[float] = _measure(oracle, np.zeros(1))
     rounds: list[int] = [0]
-
-    samples = SampleSet(np.array(positions), np.array(losses))
     report: FitReport | None = None
     minimum: float | None = None
 

@@ -111,15 +111,16 @@ class NoisyQuadraticEnsemble:
     any line restriction have closed forms.
     """
 
+    EIG_RANGE = (0.5, 1.5)        # spectrum of every batch matrix
+    VALIDATION_FRACTION = 0.2     # share of the batches held out for validation
+
     def __init__(
         self,
         n_batches: int = 100,
         dim: int = 20,
         rng: np.random.Generator | None = None,
-        eig_range: tuple[float, float] = (0.5, 1.5),
         center_spread: float = 0.15,
         offset_range: tuple[float, float] = (0.0, 0.1),
-        validation_fraction: float = 0.2,
     ):
         _check_sizes(n_batches=n_batches, dim=dim)
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -127,12 +128,12 @@ class NoisyQuadraticEnsemble:
         self.matrices = np.empty((n_batches, dim, dim))
         for i in range(n_batches):
             q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-            eigs = rng.uniform(*eig_range, size=dim)
+            eigs = rng.uniform(*self.EIG_RANGE, size=dim)
             self.matrices[i] = q @ np.diag(eigs) @ q.T
         self.centers = rng.normal(scale=center_spread, size=(n_batches, dim))
         self.offsets = rng.uniform(*offset_range, size=n_batches)
 
-        n_val = max(1, int(round(validation_fraction * n_batches))) if n_batches > 1 else 1
+        n_val = max(1, int(round(self.VALIDATION_FRACTION * n_batches))) if n_batches > 1 else 1
         indices = list(range(n_batches))
         self.train_batches = indices[: n_batches - n_val] if n_batches > 1 else indices
         self.validation_batches = indices[n_batches - n_val:] if n_batches > 1 else indices
@@ -318,7 +319,7 @@ class MlpBlobs:
         batch_size: int = 50,
         rng: np.random.Generator | None = None,
     ):
-        _check_sizes(n_features=n_features, hidden1=hidden1, hidden2=hidden2)
+        _check_sizes(n_features=n_features, n_classes=n_classes, hidden1=hidden1, hidden2=hidden2)
         _check_blob_spread(separation, cluster_std)
         rng = rng if rng is not None else np.random.default_rng(0)
         angles = 2.0 * np.pi * np.arange(n_classes) / n_classes

@@ -2,6 +2,7 @@
 cross-checks."""
 
 import numpy as np
+import pytest
 
 from elfopt.baselines import (
     AdamState,
@@ -14,6 +15,7 @@ from elfopt.baselines import (
     run_baseline,
     sgd_step,
 )
+from elfopt.controller import DivergenceError
 from elfopt.problems import NoisyQuadraticEnsemble
 from elfopt.seeding import rng_streams
 
@@ -123,3 +125,15 @@ def test_run_baseline_is_deterministic():
     np.testing.assert_array_equal(theta_a, theta_b)
     assert log_a.rows == log_b.rows
     assert len(log_a.rows) == 200
+
+
+def test_run_baseline_aborts_on_divergence():
+    problem = NoisyQuadraticEnsemble(n_batches=10, dim=3, rng=np.random.default_rng(0))
+    # The learning rate validates; the overflow it causes is what the test is about.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as raised:
+        run_baseline(problem, "sgd", BaselineConfig(learning_rate=1e300), 50, rng_streams(0))
+    # The error carries every load up to and including the non-finite one.
+    rows = raised.value.log.rows
+    assert [row.step for row in rows] == list(range(1, len(rows) + 1))
+    assert not np.isfinite(rows[-1].train_loss)
+    assert str(raised.value).endswith(f"at step {len(rows)}")

@@ -292,6 +292,23 @@ def test_unknown_set_key_exits_1(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [["--steps", "abc"], ["--bogus", "1"], ["--steps"]],
+                         ids=["bad-value", "unknown-flag", "missing-value"])
+def test_usage_errors_exit_1_before_writing(tmp_path, capsys, args):
+    # Exit 2 means divergence, so a mistyped command line must not use it.
+    out = tmp_path / "nothing"
+    assert main(["--out", str(out), "--quiet", *args]) == 1
+    assert not out.exists()
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["--help"])
+    assert raised.value.code == 0
+    assert "usage: elfopt" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("setting", ["elf.line.folds=1", "elf.line.max_degree=-1",
                                      "elf.line.initial_interval_width=nan",
                                      "elf.line.initial_interval_width=1e-200"])
@@ -329,6 +346,9 @@ def test_line_search_config_errors_exit_1_before_training(tmp_path, capsys, sett
     ["--optimizer", "adam", "--set", "adam.epsilon=-1"],
     ["--optimizer", "sgd", "--set", "schedule.divisor=nan"],
     ["--optimizer", "sgd", "--set", "schedule.milestones=nan"],
+    ["--optimizer", "sgd", "--set", "schedule.milestones=-0.5"],
+    ["--optimizer", "sgd", "--set", "schedule.milestones=1.5"],
+    ["--problem", "mlp", "--set", "mlp.n_classes=0"],
     ["--problem", "logistic", "--set", "logistic.separation=nan"],
     ["--problem", "logistic", "--set", "logistic.cluster_std=nan"],
     ["--problem", "mlp", "--set", "mlp.separation=inf"],
@@ -339,6 +359,12 @@ def test_problem_and_schedule_errors_exit_1_before_writing(tmp_path, capsys, arg
     assert main([*args, "--out", str(out), "--quiet"]) == 1
     assert not out.exists()
     assert "config error:" in capsys.readouterr().err
+
+
+def test_a_size_error_names_its_key(tmp_path, capsys):
+    out = tmp_path / "nothing"
+    assert main(["--problem", "mlp", "--set", "mlp.n_classes=0", "--out", str(out), "--quiet"]) == 1
+    assert "n_classes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, rows, last_row", [

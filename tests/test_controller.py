@@ -12,7 +12,6 @@ from elfopt.controller import (
     ElfConfig,
     LogRow,
     OptimizerState,
-    TrainingLog,
     apply_decrease_factor,
     initial_grid_search,
     run,
@@ -166,13 +165,12 @@ def _phase_state():
 
 def _run_phase(problem, config):
     state = _phase_state()
-    log = TrainingLog()
     streams = rng_streams(0)
     train = BatchStream(problem.train_batches, streams.train_order)
     val = BatchStream(problem.validation_batches, streams.val_order)
     trigger_line_searches(state, config, problem, train, val,
-                          streams.line_search, streams.cv, log)
-    return state, log
+                          streams.line_search, streams.cv)
+    return state, state.log
 
 
 def test_single_line_noiseless_parabola_sets_update_step():
@@ -216,12 +214,11 @@ def test_all_lines_invalid_keeps_previous_update_step():
     config = ElfConfig(lines_to_average=3, momentum_beta=0.0)
     state = _phase_state()
     state.update_step = 0.123
-    log = TrainingLog()
     streams = rng_streams(0)
     train = BatchStream(problem.train_batches, streams.train_order)
     val = BatchStream(problem.validation_batches, streams.val_order)
     trigger_line_searches(state, config, problem, train, val,
-                          streams.line_search, streams.cv, log)
+                          streams.line_search, streams.cv)
     assert state.update_step == 0.123
     assert (state.theta == 0.0).all()
 
@@ -279,9 +276,8 @@ def _grid_select(problem, candidates, probe_steps=20, theta0=None):
         theta=theta0 if theta0 is not None else np.zeros(1),
         momentum_buffer=np.zeros(1),
     )
-    log = TrainingLog()
     stream = BatchStream(problem.train_batches, rng_streams(0).train_order)
-    return initial_grid_search(problem, config, stream, state, log), state, log
+    return initial_grid_search(problem, config, stream, state), state, state.log
 
 
 def _simulate_probe(problem, theta0, step, probe_steps):
@@ -446,12 +442,11 @@ def test_divergence_inside_a_round_keeps_the_log_up_to_the_first_non_finite_load
     config = ElfConfig(lines_to_average=1, momentum_beta=0.0,
                        line_search=LineSearchConfig(k=1, n=40, min_window_size=5))
     state = _phase_state()
-    log = TrainingLog()
     streams = rng_streams(0)
     stream = BatchStream(problem.train_batches, streams.val_order)
     with pytest.raises(DivergenceError) as raised:
         trigger_line_searches(state, config, problem, stream, stream,
-                              streams.line_search, streams.cv, log)
+                              streams.line_search, streams.cv)
     rows = raised.value.log.rows
     # The anchor and the round's first steps (up to 0.5) load; the round
     # stops at its first step past 0.5, partway through its 40 loads.
