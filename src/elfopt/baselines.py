@@ -117,6 +117,8 @@ def run_baseline(
     with TrainingLog.record like the line-search optimizer's loads."""
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown baseline optimizer {optimizer!r}")
+    if steps_to_train < 1:
+        raise ValueError("steps_to_train must be >= 1")
     theta0 = problem.initial_theta(streams.theta_init)
     state = init_sgd(theta0) if optimizer == "sgd" else init_adam(theta0)
     step_fn = sgd_step if optimizer == "sgd" else adam_step

@@ -2,9 +2,11 @@
 
 Configuration is a flat key=value namespace with defaults for every key;
 values come from (lowest to highest precedence) defaults, a config file,
-repeated --set overrides, and named command-line flags. All floats are
-serialized with 17 significant digits so snapshots round-trip exactly and
-repeated runs of one configuration produce byte-identical artifacts.
+repeated --set overrides, and named command-line flags. Every value enters
+as text, from any of these or from code, and parse_value gives it the type
+of its key's default. All floats are serialized with 17 significant digits
+so snapshots round-trip exactly and repeated runs of one configuration
+produce byte-identical artifacts.
 
 A key under a section prefix (quadratic, logistic, mlp, elf, elf.line, sgd,
 adam, schedule) sets one field of the class that section builds, and its
@@ -18,14 +20,13 @@ Artifacts written per run:
     fits.csv            chosen fit per line search, coefficients empty-padded
     cross_section.csv   only in --dump-cross-section mode
 
-Exit codes: 0 success, 1 configuration or usage error, 2 divergence.
+Exit codes: 0 success, 1 configuration, usage or path error, 2 divergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
-import numbers
 import sys
 from pathlib import Path
 
@@ -122,32 +123,6 @@ def parse_value(key: str, text: str):
         raise ConfigError(f"cannot parse value for {key!r}: {text!r}") from exc
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_value(key: str, value):
-    """value as the type of key's default, or ConfigError when it has
-    another type. An integer is taken for a float, and a tuple or list of
-    numbers for a tuple of floats."""
-    if key not in DEFAULTS:
-        raise ConfigError(f"unknown config key {key!r}")
-    default = DEFAULTS[key]
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-    elif isinstance(default, int):
-        if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-            return int(value)
-    elif isinstance(default, float):
-        if _is_real(value):
-            return float(value)
-    elif isinstance(default, tuple):
-        if isinstance(value, (tuple, list)) and all(map(_is_real, value)):
-            return tuple(float(v) for v in value)
-    raise ConfigError(f"{key!r} takes {type(default).__name__} values, got {value!r}")
-
-
 class RunConfig:
     """Resolved flat configuration; every key always present."""
 
@@ -157,11 +132,18 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def set(self, key: str, value) -> None:
-        """Set key to value, typed on entry: text goes through parse_value,
-        anything else through _check_value."""
-        typed = parse_value if isinstance(value, str) else _check_value
-        self.values[key] = typed(key, value)
+    def set(self, key: str, text: str) -> None:
+        """Set key to text typed by parse_value; any other value is an error."""
+        if not isinstance(text, str):
+            raise ConfigError(f"{key!r} is set from text, got {text!r}")
+        self.values[key] = parse_value(key, text)
+
+    def assign(self, item: str, where: str) -> None:
+        """Set one KEY=VALUE item; where names its origin in a malformed item's error."""
+        key, sep, text = item.partition("=")
+        if not sep:
+            raise ConfigError(f"{where}: expected KEY=VALUE, got {item!r}")
+        self.set(key.strip(), text)
 
     def serialize(self) -> str:
         return "".join(f"{k}={format_value(v)}\n" for k, v in self.values.items())
@@ -171,12 +153,8 @@ class RunConfig:
         config = cls()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-            key, _, value = line.partition("=")
-            config.set(key.strip(), value)
+            if line and not line.startswith("#"):
+                config.assign(line, f"line {lineno}")
         return config
 
 
@@ -229,8 +207,11 @@ def write_fits_csv(path: Path, log: TrainingLog, max_degree: int) -> None:
 def _open_out_dir(config: RunConfig) -> Path:
     """Create the output directory and write config.txt; call after validation."""
     out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(config.serialize())
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.txt").write_text(config.serialize(), encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output directory: {exc}") from exc
     return out_dir
 
 
@@ -336,27 +317,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override any config key; repeatable")
     parser.add_argument("--dump-cross-section", action="store_true",
                         help="write a dense cross-section profile instead of training")
-    parser.add_argument("--quiet", action="store_true")
+    parser.add_argument("--quiet", action="store_const", const="true")
     return parser
 
 
 def config_from_args(args) -> RunConfig:
+    text = ""
     if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {args.config}")
-        config = RunConfig.deserialize(path.read_text())
-    else:
-        config = RunConfig()
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
+    config = RunConfig.deserialize(text)
     for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        config.set(key.strip(), value)
-    # Named flags share their config keys' names; an unset flag is None
-    # (False for --quiet), so --seed 0 still overrides a file's seed.
+        config.assign(item, "--set")
+    # Named flags share their config keys' names and hand over text; an
+    # unset flag is None, so --seed 0 still overrides a file's seed.
     for key, value in vars(args).items():
-        if key in DEFAULTS and value is not None and value is not False:
+        if key in DEFAULTS and value is not None:
             config.set(key, value)
     return config
 

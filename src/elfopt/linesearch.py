@@ -57,14 +57,12 @@ class LineSearchConfig:
 class LineSearchResult:
     """Outcome of one line search.
 
-    minimum_position and expected_improvement are None when the final fit has
-    no minimum at a positive step; valid mirrors that. rounds[i] records which
-    adaptation round produced samples[i].
+    minimum_position is None when the final fit has no minimum; the search is
+    valid when that minimum lies at a positive step. rounds[i] records which
+    adaptation round produced samples[i], and every sample is one batch load.
     """
 
     minimum_position: float | None
-    expected_improvement: float | None
-    batches_consumed: int
     fit: FitReport
     samples: SampleSet
     rounds: np.ndarray
@@ -72,6 +70,18 @@ class LineSearchResult:
     @property
     def valid(self) -> bool:
         return self.minimum_position is not None and self.minimum_position > 0.0
+
+    @property
+    def expected_improvement(self) -> float | None:
+        """The fit's drop from step 0 to the minimum; None unless valid."""
+        if not self.valid:
+            return None
+        poly = self.fit.polynomial
+        return evaluate(poly, 0.0) - evaluate(poly, self.minimum_position)
+
+    @property
+    def batches_consumed(self) -> int:
+        return len(self.samples)
 
 
 def third_quartile(values: np.ndarray) -> float:
@@ -160,16 +170,8 @@ def elf_line_search(
         found = closest_minimum_to_zero(report.polynomial, (0.0, scan_end))
         minimum = found[0] if found is not None else None
 
-    improvement = None
-    if minimum is not None and minimum > 0.0:
-        improvement = evaluate(report.polynomial, 0.0) - evaluate(report.polynomial, minimum)
     return LineSearchResult(
-        minimum_position=minimum,
-        expected_improvement=improvement,
-        batches_consumed=len(losses),
-        fit=report,
-        samples=samples,
-        rounds=np.array(rounds),
+        minimum_position=minimum, fit=report, samples=samples, rounds=np.array(rounds)
     )
 
 

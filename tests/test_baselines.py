@@ -137,3 +137,10 @@ def test_run_baseline_aborts_on_divergence():
     assert [row.step for row in rows] == list(range(1, len(rows) + 1))
     assert not np.isfinite(rows[-1].train_loss)
     assert str(raised.value).endswith(f"at step {len(rows)}")
+
+
+@pytest.mark.parametrize("steps", [0, -5])
+def test_run_baseline_rejects_a_budget_below_one(steps):
+    problem = NoisyQuadraticEnsemble(n_batches=10, dim=4, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="steps_to_train"):
+        run_baseline(problem, "sgd", BaselineConfig(), steps, rng_streams(0))

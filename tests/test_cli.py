@@ -91,10 +91,10 @@ DEFAULT_SNAPSHOT = (
 
 def test_config_round_trip_is_lossless():
     config = RunConfig()
-    config.set("elf.loss_improvement_factor", 0.1)
-    config.set("seed", 17)
-    config.set("elf.grid_search_candidates", (0.25, 1.5))
-    config.set("elf.sample_from_validation", False)
+    config.set("elf.loss_improvement_factor", "0.1")
+    config.set("seed", "17")
+    config.set("elf.grid_search_candidates", "0.25,1.5")
+    config.set("elf.sample_from_validation", "false")
     restored = RunConfig.deserialize(config.serialize())
     assert restored.values == config.values
 
@@ -122,8 +122,8 @@ def test_parse_value_types_and_errors():
 def test_set_types_a_value_once_on_entry():
     config = RunConfig()
     config.set("steps", "100")
-    config.set("sgd.learning_rate", 1)
-    config.set("elf.grid_search_candidates", [1, 0.5])
+    config.set("sgd.learning_rate", "1")
+    config.set("elf.grid_search_candidates", "1,0.5")
     config.set("quiet", "yes")
     assert config["steps"] == 100
     assert type(config["sgd.learning_rate"]) is float
@@ -131,6 +131,7 @@ def test_set_types_a_value_once_on_entry():
     assert config["quiet"] is True
     for key, value in [("steps", 1.5), ("steps", True), ("quiet", 1), ("problem", 3),
                        ("elf.grid_search_candidates", 0.1), ("sgd.learning_rate", None),
+                       ("sgd.learning_rate", 1), ("elf.grid_search_candidates", [1, 0.5]),
                        ("nonexistent.key", 1), ("steps", "abc")]:
         with pytest.raises(ConfigError):
             config.set(key, value)
@@ -149,6 +150,13 @@ def test_text_set_in_code_runs_like_the_command_line(tmp_path):
 def test_unknown_config_file_key_rejected():
     with pytest.raises(ConfigError):
         RunConfig.deserialize("not_a_key=1\n")
+
+
+def test_a_malformed_item_names_where_it_came_from():
+    with pytest.raises(ConfigError, match="line 3"):
+        RunConfig.deserialize("steps=10\n# comment\nsteps 20\n")
+    with pytest.raises(ConfigError, match="--set"):
+        config_from_args(build_parser().parse_args(["--set", "steps"]))
 
 
 def test_cli_precedence_file_then_set_then_flags(tmp_path):
@@ -209,7 +217,7 @@ def test_writers_bytes_are_pinned_on_a_hand_built_log(tmp_path):
     ])
     fit = FitReport(Polynomial(np.array([1.0, -0.25, 1 / 3])), 2, np.array([1.0, 0.5, 0.25]))
     log.line_searches.append(LineSearchResult(
-        minimum_position=0.375, expected_improvement=0.046875, batches_consumed=3, fit=fit,
+        minimum_position=0.375, fit=fit,
         samples=SampleSet(np.array([0.0, 0.1, 0.7]), np.array([1.0, 0.95, 1 / 3])),
         rounds=np.array([0, 0, 1])))
     write_training_log(tmp_path / "training_log.csv", log)
@@ -300,6 +308,21 @@ def test_usage_errors_exit_1_before_writing(tmp_path, capsys, args):
     assert main(["--out", str(out), "--quiet", *args]) == 1
     assert not out.exists()
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-below-a-file",
+                                  "config-is-a-directory", "config-not-utf8"])
+def test_bad_paths_are_config_errors_before_writing(tmp_path, capsys, case):
+    file = tmp_path / "file"
+    file.write_bytes(b"problem=quadr\xfftic\n")  # not UTF-8
+    out = str(tmp_path / "nothing")
+    argv = {"out-is-a-file": ["--out", str(file)],
+            "out-below-a-file": ["--out", str(file / "sub")],
+            "config-is-a-directory": ["--config", str(tmp_path), "--out", out],
+            "config-not-utf8": ["--config", str(file), "--out", out]}[case]
+    assert main([*argv, "--steps", "20", "--quiet", *FAST_ELF]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert list(tmp_path.iterdir()) == [file]
 
 
 def test_help_exits_0(capsys):
@@ -441,10 +464,10 @@ def test_cross_section_mean_matches_closed_form(tmp_path):
     out = tmp_path / "profile"
     config = RunConfig()
     config.set("problem", "quadratic")
-    config.set("quadratic.n_batches", 10)
-    config.set("quadratic.dim", 4)
+    config.set("quadratic.n_batches", "10")
+    config.set("quadratic.dim", "4")
     config.set("out", str(out))
-    config.set("quiet", True)
+    config.set("quiet", "true")
     assert dump_cross_section(config) == 0
 
     streams = rng_streams(0)
@@ -465,12 +488,12 @@ def test_cross_section_single_point_equals_empirical_loss(tmp_path):
     out = tmp_path / "profile"
     config = RunConfig()
     config.set("problem", "quadratic")
-    config.set("quadratic.n_batches", 10)
-    config.set("quadratic.dim", 4)
-    config.set("cross_section.points", 1)
-    config.set("cross_section.s_min", 0.0)
+    config.set("quadratic.n_batches", "10")
+    config.set("quadratic.dim", "4")
+    config.set("cross_section.points", "1")
+    config.set("cross_section.s_min", "0.0")
     config.set("out", str(out))
-    config.set("quiet", True)
+    config.set("quiet", "true")
     assert dump_cross_section(config) == 0
 
     streams = rng_streams(0)
