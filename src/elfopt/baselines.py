@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import TrainingLog
-from .problems import BatchStream
+from .problems import BatchStream, loss_and_gradient
 from .seeding import RngStreams
 
 
@@ -113,8 +113,9 @@ def run_baseline(
     steps_to_train: int,
     streams: RngStreams,
 ) -> tuple[np.ndarray, TrainingLog]:
-    """Train with a baseline optimizer; one batch load per step, recorded
-    with TrainingLog.record like the line-search optimizer's loads."""
+    """Train with a baseline optimizer; one batch load per step, measured
+    with one loss_and_gradient call and recorded with TrainingLog.record
+    like the line-search optimizer's loads."""
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown baseline optimizer {optimizer!r}")
     if steps_to_train < 1:
@@ -126,8 +127,7 @@ def run_baseline(
     log = TrainingLog()
     train_stream = BatchStream(problem.train_batches, streams.train_order)
     for _ in range(steps_to_train):
-        batch = train_stream.next_batch()
-        log.record("sgd", [float(problem.batch_loss(state.theta, batch))], config.lr_at(state.t))
-        gradient = problem.batch_gradient(state.theta, batch)
+        loss, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
+        log.record("sgd", [loss], config.lr_at(state.t))
         step_fn(state, gradient, config)
     return state.theta, log

@@ -20,6 +20,11 @@ Artifacts written per run:
     fits.csv            chosen fit per line search, coefficients empty-padded
     cross_section.csv   only in --dump-cross-section mode
 
+Before a run, the artifacts an earlier run left in the output directory under
+these names are removed, so the directory describes one run and an artifact
+path that cannot be written is a configuration error, not a failure after
+the run.
+
 Exit codes: 0 success, 1 configuration, usage or path error, 2 divergence.
 """
 
@@ -204,11 +209,17 @@ def write_fits_csv(path: Path, log: TrainingLog, max_degree: int) -> None:
     _write_csv(path, ["line_index", "degree", *(f"c{i}" for i in range(max_degree + 1))], rows)
 
 
-def _open_out_dir(config: RunConfig) -> Path:
-    """Create the output directory and write config.txt; call after validation."""
+def _open_out_dir(config: RunConfig, artifacts: tuple[str, ...]) -> Path:
+    """Create the output directory, remove whatever an earlier run left under
+    the names (glob patterns) of the artifacts this run writes, and write
+    config.txt; call after validation. A path in the way is a ConfigError
+    before the run, and the directory then describes one run."""
     out_dir = Path(config["out"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        for pattern in artifacts:
+            for path in out_dir.glob(pattern):
+                path.unlink()
         (out_dir / "config.txt").write_text(config.serialize(), encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write the output directory: {exc}") from exc
@@ -231,7 +242,7 @@ def run_experiment(config: RunConfig) -> int:
     else:
         schedule = build_section(config, "schedule", total_steps=steps)
         baseline_config = build_section(config, optimizer, schedule=schedule)
-    out_dir = _open_out_dir(config)
+    out_dir = _open_out_dir(config, ("training_log.csv", "line_[0-9]*.csv", "fits.csv"))
 
     exit_code = 0
     try:
@@ -283,7 +294,7 @@ def dump_cross_section(config: RunConfig) -> int:
         raise ConfigError("cross_section.s_min and cross_section.s_max must be finite")
     profile = cross_section_profile(problem, theta0, direction, np.linspace(s_min, s_max, points))
 
-    out_dir = _open_out_dir(config)
+    out_dir = _open_out_dir(config, ("cross_section.csv",))
     series = [(f"batch_{i}", curve) for i, curve in enumerate(profile.per_batch)]
     series += [("mean", profile.mean), ("q1", profile.q1), ("q2", profile.q2), ("q3", profile.q3)]
     _write_csv(out_dir / "cross_section.csv", ("series", "s", "loss"),

@@ -12,6 +12,8 @@ grid-search probe) goes through _load, which records it as one row with
 TrainingLog.record, and the step counter state.t is the log's row count. A
 line search hands _load a whole round at once: its round oracle loads one
 batch per step size and measures them all with one batch_losses_along call.
+An SGD step or grid-search probe measures its batch's loss and gradient with
+one loss_and_gradient call and steps with that gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .linesearch import MIN_INTERVAL_WIDTH, LineSearchConfig, LineSearchResult, elf_line_search
 from .poly import Polynomial, evaluate, real_roots_in
-from .problems import BatchStream, batch_losses_along
+from .problems import BatchStream, batch_losses_along, loss_and_gradient
 from .seeding import RngStreams
 
 
@@ -188,9 +190,8 @@ def initial_grid_search(
         theta = theta0
         probe_losses = []
         for _ in range(probe):
-            (state.current_batch,), (loss,) = _load(
-                train_stream, 1, _losses_at(problem, theta), state, "grid_search", candidate)
-            theta = _unit_step(problem, theta, state.current_batch, candidate)
+            loss, theta = _unit_step_load(
+                problem, train_stream, theta, candidate, state, "grid_search")
             probe_losses.append(loss)
         if float(np.mean(probe_losses)) < baseline:
             return candidate
@@ -340,10 +341,8 @@ def run(
 
 def _sgd_step(problem, state, train_stream, expected=None, real=None):
     """One unit-gradient SGD step: the displacement norm equals update_step."""
-    (state.current_batch,), (loss,) = _load(
-        train_stream, 1, _losses_at(problem, state.theta), state, "sgd",
-        state.update_step, expected, real)
-    state.theta = _unit_step(problem, state.theta, state.current_batch, state.update_step)
+    loss, state.theta = _unit_step_load(
+        problem, train_stream, state.theta, state.update_step, state, "sgd", expected, real)
     state.losses.append(loss)
 
 
@@ -364,9 +363,24 @@ def _losses_at(problem, theta):
     return lambda batches: [float(problem.batch_loss(theta, batch)) for batch in batches]
 
 
-def _unit_step(problem, theta, batch, step):
-    """theta moved by step along the normalized negative batch gradient, or
-    theta itself when that gradient is zero."""
-    gradient = problem.batch_gradient(theta, batch)
+def _unit_step_load(problem, stream, theta, step, state, event, expected=None, real=None):
+    """Load one batch into state.current_batch, record its loss at theta with
+    step as the row's update_step, and return (loss, theta after a unit step
+    of that size along the batch's negative gradient)."""
+    gradients = []
+
+    def measure(batches):
+        loss, gradient = loss_and_gradient(problem, theta, batches[0])
+        gradients.append(gradient)
+        return [loss]
+
+    (state.current_batch,), (loss,) = _load(
+        stream, 1, measure, state, event, step, expected, real)
+    return loss, _unit_step(theta, gradients[0], step)
+
+
+def _unit_step(theta, gradient, step):
+    """theta moved by step along the normalized negative gradient, or theta
+    itself when the gradient is zero."""
     norm = float(np.linalg.norm(gradient))
     return theta - step * (gradient / norm) if norm > 0.0 else theta

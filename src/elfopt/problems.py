@@ -6,11 +6,18 @@ seeded initial parameter vector. Datasets are generated, never downloaded, so
 everything runs offline and the empirical-loss geometry stays checkable
 against closed forms or brute force.
 
-A problem may also define batch_losses_along(theta0, direction, s, batches),
-which measures many (step size, batch) pairs on one line in a single stacked
-evaluation; the module function batch_losses_along falls back to a loop over
-batch_loss for problems without it (MlpBlobs, whose stacked forward pass
-would cost more than the loop).
+A problem may also define two optional oracles, each with a module function
+that uses it when present and falls back to the required ones otherwise:
+
+- batch_losses_along(theta0, direction, s, batches) measures many (step size,
+  batch) pairs on one line in a single stacked evaluation; the fallback is a
+  loop over batch_loss (MlpBlobs has none, as its stacked forward pass would
+  cost more than the loop).
+- batch_loss_and_gradient(theta, batch) returns (loss, gradient) from one
+  forward pass, for the loads that need both; the fallback is
+  (float(batch_loss), batch_gradient). LogisticBlobs and MlpBlobs define it
+  and derive batch_gradient from it; NoisyQuadraticEnsemble, whose loss and
+  gradient share only theta - center, uses the fallback.
 """
 
 from __future__ import annotations
@@ -71,6 +78,18 @@ def batch_losses_along(problem, theta0, direction, s, batches) -> np.ndarray:
         return np.asarray(along(theta0, direction, s, batches), dtype=float)
     return np.array([problem.batch_loss(theta0 + step * direction, batch)
                      for step, batch in zip(s.tolist(), batches)], dtype=float)
+
+
+def loss_and_gradient(problem, theta, batch) -> tuple[float, np.ndarray]:
+    """The loss and gradient of batch at theta.
+
+    Uses the problem's own batch_loss_and_gradient(theta, batch) when it has
+    one, and batch_loss then batch_gradient otherwise.
+    """
+    fused = getattr(problem, "batch_loss_and_gradient", None)
+    if fused is not None:
+        return fused(theta, batch)
+    return float(problem.batch_loss(theta, batch)), problem.batch_gradient(theta, batch)
 
 
 @dataclass(frozen=True)
@@ -200,12 +219,10 @@ def _check_blob_spread(separation, cluster_std):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|z|) <= 1 cannot overflow, and each branch is the stable form
+    # for its sign; min(z, -z) is -|z| that keeps a nan's sign bit.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _make_blobs(n, centers, cluster_std, rng):
@@ -283,13 +300,20 @@ class LogisticBlobs:
         z = np.matmul(x, theta[:, :-1, None])[:, :, 0] + theta[:, -1:]
         return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
 
-    def batch_gradient(self, theta, batch) -> np.ndarray:
+    def batch_loss_and_gradient(self, theta, batch) -> tuple[float, np.ndarray]:
+        # One set of logits for both; a.sum() / a.size is np.mean's own
+        # arithmetic on a 1-D array, without its call overhead.
         x, y = batch
-        residual = _sigmoid(self._logits(theta, x)) - y
+        z = self._logits(theta, x)
+        per_sample = np.logaddexp(0.0, z) - y * z
+        residual = _sigmoid(z) - y
         grad = np.empty(self.dim)
         grad[:-1] = x.T @ residual / x.shape[0]
-        grad[-1] = residual.mean()
-        return grad
+        grad[-1] = residual.sum() / residual.size
+        return float(per_sample.sum() / per_sample.size), grad
+
+    def batch_gradient(self, theta, batch) -> np.ndarray:
+        return self.batch_loss_and_gradient(theta, batch)[1]
 
     def initial_theta(self, rng: np.random.Generator) -> np.ndarray:
         return 0.01 * rng.normal(size=self.dim)
@@ -368,23 +392,32 @@ class MlpBlobs:
         _, _, logits, log_norm = self._forward(theta, x)
         return float(np.mean(log_norm[:, 0] - logits[np.arange(x.shape[0]), y]))
 
-    def batch_gradient(self, theta, batch) -> np.ndarray:
+    def batch_loss_and_gradient(self, theta, batch) -> tuple[float, np.ndarray]:
+        # One forward pass; backprop writes each layer's gradient straight
+        # into its slice of the output vector.
         x, y = batch
         w1, b1, w2, b2, w3, b3 = self._unpack(theta)
         h1, h2, logits, log_norm = self._forward(theta, x)
         m = x.shape[0]
+        rows = np.arange(m)
+        loss = float(np.mean(log_norm[:, 0] - logits[rows, y]))
+        grad = np.empty(self.dim)
+        dw1, db1, dw2, db2, dw3, db3 = self._unpack(grad)
         probs = np.exp(logits - log_norm)
-        probs[np.arange(m), y] -= 1.0
+        probs[rows, y] -= 1.0
         probs /= m
-        dw3 = h2.T @ probs
-        db3 = probs.sum(axis=0)
+        np.matmul(h2.T, probs, out=dw3)
+        np.sum(probs, axis=0, out=db3)
         dh2 = (probs @ w3.T) * (1.0 - h2**2)
-        dw2 = h1.T @ dh2
-        db2 = dh2.sum(axis=0)
+        np.matmul(h1.T, dh2, out=dw2)
+        np.sum(dh2, axis=0, out=db2)
         dh1 = (dh2 @ w2.T) * (1.0 - h1**2)
-        dw1 = x.T @ dh1
-        db1 = dh1.sum(axis=0)
-        return np.concatenate([g.ravel() for g in (dw1, db1, dw2, db2, dw3, db3)])
+        np.matmul(x.T, dh1, out=dw1)
+        np.sum(dh1, axis=0, out=db1)
+        return loss, grad
+
+    def batch_gradient(self, theta, batch) -> np.ndarray:
+        return self.batch_loss_and_gradient(theta, batch)[1]
 
     def batch_accuracy(self, theta, batch) -> float:
         x, y = batch

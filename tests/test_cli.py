@@ -4,6 +4,7 @@ error paths, and the cross-section dump."""
 import numpy as np
 import pytest
 
+from elfopt import cli
 from elfopt.cli import (
     ConfigError,
     RunConfig,
@@ -323,6 +324,30 @@ def test_bad_paths_are_config_errors_before_writing(tmp_path, capsys, case):
     assert main([*argv, "--steps", "20", "--quiet", *FAST_ELF]) == 1
     assert capsys.readouterr().err.startswith("config error:")
     assert list(tmp_path.iterdir()) == [file]
+
+
+def test_a_reused_out_dir_holds_only_the_latest_run(tmp_path):
+    out = tmp_path / "run"
+    for steps in ("1500", "300"):
+        assert main(["--steps", steps, "--out", str(out), "--quiet", *FAST_ELF]) == 0
+    fits_rows = len((out / "fits.csv").read_text().splitlines()) - 1
+    lines = {p.name for p in out.glob("line_*.csv")}
+    assert fits_rows > 0 and lines == {f"line_{i}.csv" for i in range(fits_rows)}
+
+
+@pytest.mark.parametrize("name", ["training_log.csv", "line_0.csv", "fits.csv"])
+def test_an_unwritable_artifact_is_a_config_error_before_the_run(tmp_path, capsys,
+                                                                 monkeypatch, name):
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)
+
+    def no_run(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    assert main(["--steps", "20", "--out", str(out), "--quiet", *FAST_ELF]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def test_help_exits_0(capsys):

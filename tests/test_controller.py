@@ -2,11 +2,14 @@
 with rigged oracles, grid search, step accounting, pinned run decisions and
 config validation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elfopt.baselines import BaselineConfig, run_baseline
 from elfopt.controller import (
     DivergenceError,
     ElfConfig,
@@ -315,6 +318,59 @@ def test_grid_search_falls_back_to_smallest_candidate():
     problem = OneDQuadratic(center=0.0)  # already optimal; nothing improves
     selected, _, _ = _grid_select(problem, (1.0, 0.1, 0.01))
     assert selected == 0.01
+
+
+# ---------------------------------------------------------------------------
+# oracle calls per load
+# ---------------------------------------------------------------------------
+
+class CountingLogistic(LogisticBlobs):
+    """LogisticBlobs counting each oracle call made from outside the class;
+    batch_gradient's own fused call is not counted."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = Counter()
+
+    def batch_loss(self, theta, batch):
+        self.calls["batch_loss"] += 1
+        return super().batch_loss(theta, batch)
+
+    def batch_gradient(self, theta, batch):
+        self.calls["batch_gradient"] += 1
+        return super().batch_loss_and_gradient(theta, batch)[1]
+
+    def batch_loss_and_gradient(self, theta, batch):
+        self.calls["batch_loss_and_gradient"] += 1
+        return super().batch_loss_and_gradient(theta, batch)
+
+
+def _counting_logistic(streams):
+    return CountingLogistic(separation=1.0, cluster_std=1.0, rng=streams.data)
+
+
+def test_each_sgd_step_and_grid_probe_makes_one_fused_oracle_call():
+    streams = rng_streams(0)
+    problem = _counting_logistic(streams)
+    config = ElfConfig()
+    state, log = run(problem, config, 2000, streams)
+    baseline = config.grid_search_probe_steps
+    probes = log.count("grid_search") - baseline
+    assert probes > 0 and log.count("sgd") > 0
+    # batch_loss measures only the grid search's baseline loads, and
+    # batch_gradient only each search's direction.
+    assert problem.calls == Counter(batch_loss=baseline,
+                                    batch_gradient=len(log.line_searches),
+                                    batch_loss_and_gradient=log.count("sgd") + probes)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_each_baseline_step_makes_one_fused_oracle_call(optimizer):
+    streams = rng_streams(0)
+    problem = _counting_logistic(streams)
+    _, log = run_baseline(problem, optimizer, BaselineConfig(), 300, streams)
+    assert len(log.rows) == 300
+    assert problem.calls == Counter(batch_loss_and_gradient=300)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ from elfopt.problems import (
     LogisticBlobs,
     MlpBlobs,
     NoisyQuadraticEnsemble,
+    _sigmoid,
     batch_losses_along,
     cross_section_profile,
     empirical_loss,
+    loss_and_gradient,
 )
 
 
@@ -75,6 +77,111 @@ def test_batch_losses_along_matches_the_batch_loss_loop(index):
     np.testing.assert_allclose(along, looped, rtol=1e-12, atol=0.0)
     with pytest.raises(ValueError):
         batch_losses_along(problem, theta0, d, s, batches[:-1])
+
+
+# ---------------------------------------------------------------------------
+# fused loss and gradient
+# ---------------------------------------------------------------------------
+
+def _masked_sigmoid(z):
+    """The sigmoid as a boolean-mask scatter of its two stable branches."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _logistic_loss_and_gradient(problem, theta, batch):
+    """LogisticBlobs' loss and gradient written as two separate passes."""
+    x, y = batch
+    z = x @ theta[:-1] + theta[-1]
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    residual = _masked_sigmoid(z) - y
+    grad = np.empty(problem.dim)
+    grad[:-1] = x.T @ residual / x.shape[0]
+    grad[-1] = residual.mean()
+    return loss, grad
+
+
+def _mlp_loss_and_gradient(problem, theta, batch):
+    """MlpBlobs' loss and gradient written as two separate passes, the
+    gradient's layers concatenated at the end."""
+    x, y = batch
+    w1, b1, w2, b2, w3, b3 = problem._unpack(theta)
+
+    def forward():
+        h1 = np.tanh(x @ w1 + b1)
+        h2 = np.tanh(h1 @ w2 + b2)
+        logits = h2 @ w3 + b3
+        logits = logits - logits.max(axis=1, keepdims=True)
+        return h1, h2, logits, np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+    _, _, logits, log_norm = forward()
+    loss = float(np.mean(log_norm[:, 0] - logits[np.arange(x.shape[0]), y]))
+    h1, h2, logits, log_norm = forward()
+    m = x.shape[0]
+    probs = np.exp(logits - log_norm)
+    probs[np.arange(m), y] -= 1.0
+    probs /= m
+    dw3 = h2.T @ probs
+    db3 = probs.sum(axis=0)
+    dh2 = (probs @ w3.T) * (1.0 - h2**2)
+    dw2 = h1.T @ dh2
+    db2 = dh2.sum(axis=0)
+    dh1 = (dh2 @ w2.T) * (1.0 - h1**2)
+    dw1 = x.T @ dh1
+    db1 = dh1.sum(axis=0)
+    return loss, np.concatenate([g.ravel() for g in (dw1, db1, dw2, db2, dw3, db3)])
+
+
+@pytest.mark.parametrize("make_problem, two_passes", [
+    (lambda: LogisticBlobs(n_train=300, n_val=100, batch_size=25,
+                           rng=np.random.default_rng(2)), _logistic_loss_and_gradient),
+    (lambda: LogisticBlobs(n_train=300, n_val=100, n_features=7, separation=1.0,
+                           cluster_std=1.0, rng=np.random.default_rng(4)),
+     _logistic_loss_and_gradient),
+    (lambda: MlpBlobs(n_train=300, n_val=100, batch_size=25, hidden1=8, hidden2=6,
+                      rng=np.random.default_rng(3)), _mlp_loss_and_gradient),
+    (lambda: MlpBlobs(n_train=400, n_val=100, hidden1=64, hidden2=48, n_classes=4,
+                      rng=np.random.default_rng(5)), _mlp_loss_and_gradient),
+], ids=["logistic", "logistic-hard", "mlp", "mlp-wide"])
+def test_fused_loss_and_gradient_is_bit_identical_to_two_passes(make_problem, two_passes):
+    problem = make_problem()
+    rng = np.random.default_rng(41)
+    for scale in (0.0, 0.3, 3.0, 30.0):
+        for _ in range(5):
+            theta = problem.initial_theta(rng) + rng.normal(scale=scale, size=problem.dim)
+            batch = problem.train_batches[int(rng.integers(len(problem.train_batches)))]
+            loss, grad = problem.batch_loss_and_gradient(theta, batch)
+            want_loss, want_grad = two_passes(problem, theta, batch)
+            assert type(loss) is float and loss.hex() == want_loss.hex()
+            assert grad.shape == (problem.dim,) and grad.tobytes() == want_grad.tobytes()
+            assert problem.batch_loss(theta, batch).hex() == loss.hex()
+            assert problem.batch_gradient(theta, batch).tobytes() == grad.tobytes()
+
+
+def test_sigmoid_matches_the_masked_formula_at_the_edges():
+    rng = np.random.default_rng(43)
+    z = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e308, -1e308,
+         36.0, -36.0, 710.0, -710.0, 5e-324, -5e-324],
+        rng.normal(scale=20.0, size=200),
+    ])
+    got = _sigmoid(z)
+    want = _masked_sigmoid(z)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got[4]) and got[2] == 1.0 and got[3] == 0.0
+
+
+def test_loss_and_gradient_falls_back_to_the_two_oracles():
+    problem = NoisyQuadraticEnsemble(n_batches=12, dim=6, rng=np.random.default_rng(1))
+    assert not hasattr(problem, "batch_loss_and_gradient")
+    theta = np.random.default_rng(7).normal(size=6)
+    loss, grad = loss_and_gradient(problem, theta, 3)
+    assert type(loss) is float and loss == problem.batch_loss(theta, 3)
+    assert grad.tobytes() == problem.batch_gradient(theta, 3).tobytes()
 
 
 # ---------------------------------------------------------------------------
