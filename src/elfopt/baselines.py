@@ -66,7 +66,6 @@ class BaselineConfig:
 class SgdState:
     theta: np.ndarray
     velocity: np.ndarray
-    t: int = 0
 
 
 @dataclass
@@ -87,16 +86,14 @@ def init_adam(theta: np.ndarray) -> AdamState:
     return AdamState(theta=theta, m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def sgd_step(state: SgdState, gradient: np.ndarray, config: BaselineConfig) -> SgdState:
-    lr = config.lr_at(state.t)
+def sgd_step(state: SgdState, gradient: np.ndarray, lr: float, config: BaselineConfig) -> SgdState:
     state.velocity = config.momentum * state.velocity + gradient
     state.theta = state.theta - lr * state.velocity
-    state.t += 1
     return state
 
 
-def adam_step(state: AdamState, gradient: np.ndarray, config: BaselineConfig) -> AdamState:
-    lr = config.lr_at(state.t)
+def adam_step(state: AdamState, gradient: np.ndarray, lr: float,
+              config: BaselineConfig) -> AdamState:
     state.t += 1
     state.m = config.beta1 * state.m + (1.0 - config.beta1) * gradient
     state.v = config.beta2 * state.v + (1.0 - config.beta2) * gradient**2
@@ -115,7 +112,8 @@ def run_baseline(
 ) -> tuple[np.ndarray, TrainingLog]:
     """Train with a baseline optimizer; one batch load per step, measured
     with one loss_and_gradient call and recorded with TrainingLog.record
-    like the line-search optimizer's loads."""
+    like the line-search optimizer's loads. Each step looks its scheduled
+    rate up once, and its row logs the rate the step applies."""
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown baseline optimizer {optimizer!r}")
     if steps_to_train < 1:
@@ -126,8 +124,9 @@ def run_baseline(
 
     log = TrainingLog()
     train_stream = BatchStream(problem.train_batches, streams.train_order)
-    for _ in range(steps_to_train):
+    for step in range(steps_to_train):
         loss, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
-        log.record("sgd", [loss], config.lr_at(state.t))
-        step_fn(state, gradient, config)
+        lr = config.lr_at(step)
+        log.record("sgd", [loss], lr)
+        step_fn(state, gradient, lr, config)
     return state.theta, log

@@ -8,12 +8,13 @@ promised, a search phase runs a few consecutive line searches, averages their
 suggested step sizes, and training resumes with the new step.
 
 Step accounting is strict: every batch load (SGD step, line-search sample,
-grid-search probe) goes through _load, which records it as one row with
-TrainingLog.record, and the step counter state.t is the log's row count. A
-line search hands _load a whole round at once: its round oracle loads one
-batch per step size and measures them all with one batch_losses_along call.
-An SGD step or grid-search probe measures its batch's loss and gradient with
-one loss_and_gradient call and steps with that gradient.
+grid-search probe) is written out where it happens as three statements: draw
+the batches from their stream, measure them with the problem's oracle, and
+call TrainingLog.record, which numbers one row per load. Nothing else records
+a load, and the step counter state.t is the log's row count. A line search's
+round oracle draws one batch per step size and measures them all with one
+batch_losses_along call; an SGD step or grid-search probe measures its batch's
+loss and gradient with one loss_and_gradient call and steps with that gradient.
 """
 
 from __future__ import annotations
@@ -181,8 +182,9 @@ def initial_grid_search(
     candidates = sorted(config.grid_search_candidates, reverse=True)
     theta0 = state.theta.copy()
 
-    _, baseline_losses = _load(
-        train_stream, probe, _losses_at(problem, theta0), state, "grid_search")
+    batches = train_stream.next_batches(probe)
+    baseline_losses = [float(problem.batch_loss(theta0, batch)) for batch in batches]
+    state.log.record("grid_search", baseline_losses)
     # The loss level at theta0 is the first search phase's reference level.
     baseline = state.last_mean_loss = float(np.mean(baseline_losses))
 
@@ -190,7 +192,7 @@ def initial_grid_search(
         theta = theta0
         probe_losses = []
         for _ in range(probe):
-            loss, theta = _unit_step_load(
+            loss, theta = _unit_step(
                 problem, train_stream, theta, candidate, state, "grid_search")
             probe_losses.append(loss)
         if float(np.mean(probe_losses)) < baseline:
@@ -202,8 +204,7 @@ def trigger_line_searches(
     state: OptimizerState,
     config: ElfConfig,
     problem,
-    train_stream: BatchStream,
-    val_stream: BatchStream,
+    sample_stream: BatchStream,
     line_rng: np.random.Generator,
     cv_rng: np.random.Generator,
 ) -> None:
@@ -214,10 +215,9 @@ def trigger_line_searches(
     its own (decrease-factor adjusted) step, so successive lines start from
     moved parameters. The SGD step size becomes the mean over the valid
     suggestions; searches without a positive minimum are discarded, and when
-    none are valid the step size keeps its previous value.
+    none are valid the step size keeps its previous value. Every line-search
+    sample is drawn from sample_stream.
     """
-    sample_stream = val_stream if config.sample_from_validation else train_stream
-
     applied_steps: list[float] = []
     improvements: list[float] = []
     applied_improvements: list[float] = []
@@ -231,11 +231,10 @@ def trigger_line_searches(
         theta0 = state.theta.copy()
 
         def oracle(s: np.ndarray) -> list[float]:
-            def along(batches):
-                return batch_losses_along(problem, theta0, direction, s, batches).tolist()
-
-            return _load(sample_stream, s.size, along, state, "line_search",
-                         state.update_step)[1]
+            batches = sample_stream.next_batches(s.size)
+            losses = batch_losses_along(problem, theta0, direction, s, batches).tolist()
+            state.log.record("line_search", losses, state.update_step)
+            return losses
 
         result = elf_line_search(oracle, config.line_search, line_rng, cv_rng)
         state.log.line_searches.append(result)
@@ -294,7 +293,8 @@ def run(
     theta = np.asarray(problem.initial_theta(streams.theta_init), dtype=float).copy()
     state = OptimizerState(theta=theta, momentum_buffer=np.zeros_like(theta))
     train_stream = BatchStream(problem.train_batches, streams.train_order)
-    val_stream = BatchStream(problem.validation_batches, streams.val_order)
+    sample_stream = (BatchStream(problem.validation_batches, streams.val_order)
+                     if config.sample_from_validation else train_stream)
 
     if config.grid_search_probe_steps > 0 and config.grid_search_candidates:
         selected = initial_grid_search(problem, config, train_stream, state)
@@ -304,7 +304,7 @@ def run(
     if state.current_batch is None:
         _sgd_step(problem, state, train_stream)
     trigger_line_searches(
-        state, config, problem, train_stream, val_stream,
+        state, config, problem, sample_stream,
         streams.line_search, streams.cv,
     )
 
@@ -322,7 +322,7 @@ def run(
         if fires:
             t_before = state.t
             trigger_line_searches(
-                state, config, problem, train_stream, val_stream,
+                state, config, problem, sample_stream,
                 streams.line_search, streams.cv,
             )
             if state.t > t_before:
@@ -341,46 +341,18 @@ def run(
 
 def _sgd_step(problem, state, train_stream, expected=None, real=None):
     """One unit-gradient SGD step: the displacement norm equals update_step."""
-    loss, state.theta = _unit_step_load(
+    loss, state.theta = _unit_step(
         problem, train_stream, state.theta, state.update_step, state, "sgd", expected, real)
     state.losses.append(loss)
 
 
-def _load(stream, count, measure, state, event, update_step=None, expected=None, real=None):
-    """Load the next count batches from stream and measure them with
-    measure(batches), which returns a list of one float loss per batch: the
-    one place batches are loaded. Records each load in state.log, which
-    raises DivergenceError at a diverging loss, and returns (batches, losses).
-    """
-    batches = stream.next_batches(count)
-    losses = measure(batches)
-    state.log.record(event, losses, update_step, expected, real)
-    return batches, losses
-
-
-def _losses_at(problem, theta):
-    """A measure for _load: every batch's loss at the one point theta."""
-    return lambda batches: [float(problem.batch_loss(theta, batch)) for batch in batches]
-
-
-def _unit_step_load(problem, stream, theta, step, state, event, expected=None, real=None):
+def _unit_step(problem, stream, theta, step, state, event, expected=None, real=None):
     """Load one batch into state.current_batch, record its loss at theta with
-    step as the row's update_step, and return (loss, theta after a unit step
-    of that size along the batch's negative gradient)."""
-    gradients = []
-
-    def measure(batches):
-        loss, gradient = loss_and_gradient(problem, theta, batches[0])
-        gradients.append(gradient)
-        return [loss]
-
-    (state.current_batch,), (loss,) = _load(
-        stream, 1, measure, state, event, step, expected, real)
-    return loss, _unit_step(theta, gradients[0], step)
-
-
-def _unit_step(theta, gradient, step):
-    """theta moved by step along the normalized negative gradient, or theta
-    itself when the gradient is zero."""
+    step as the row's update_step, and return (loss, theta moved by step along
+    the batch's normalized negative gradient, or theta itself when the
+    gradient is zero)."""
+    state.current_batch = stream.next_batch()
+    loss, gradient = loss_and_gradient(problem, theta, state.current_batch)
+    state.log.record(event, [loss], step, expected, real)
     norm = float(np.linalg.norm(gradient))
-    return theta - step * (gradient / norm) if norm > 0.0 else theta
+    return loss, theta - step * (gradient / norm) if norm > 0.0 else theta

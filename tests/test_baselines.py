@@ -16,14 +16,14 @@ from elfopt.baselines import (
     sgd_step,
 )
 from elfopt.controller import DivergenceError
-from elfopt.problems import NoisyQuadraticEnsemble
+from elfopt.problems import BatchStream, NoisyQuadraticEnsemble, loss_and_gradient
 from elfopt.seeding import rng_streams
 
 
 def test_plain_sgd_step():
     state = init_sgd(np.array([1.0, 1.0]))
     config = BaselineConfig(learning_rate=0.1, momentum=0.0)
-    sgd_step(state, np.array([1.0, 0.0]), config)
+    sgd_step(state, np.array([1.0, 0.0]), config.learning_rate, config)
     np.testing.assert_allclose(state.theta, [0.9, 1.0])
 
 
@@ -31,9 +31,9 @@ def test_momentum_accumulates_geometrically():
     state = init_sgd(np.zeros(2))
     config = BaselineConfig(learning_rate=0.1, momentum=0.9)
     g = np.array([1.0, -2.0])
-    sgd_step(state, g, config)
+    sgd_step(state, g, config.learning_rate, config)
     before = state.theta.copy()
-    sgd_step(state, g, config)
+    sgd_step(state, g, config.learning_rate, config)
     np.testing.assert_allclose(state.theta - before, -0.1 * 1.9 * g)
 
 
@@ -53,7 +53,7 @@ def test_adam_first_step_bounded_by_learning_rate():
     lr = 0.01
     state = init_adam(np.zeros(4))
     config = BaselineConfig(learning_rate=lr)
-    adam_step(state, np.array([0.5, -2.0, 1e-3, 10.0]), config)
+    adam_step(state, np.array([0.5, -2.0, 1e-3, 10.0]), config.learning_rate, config)
     assert (np.abs(state.theta) <= lr * (1.0 + 1e-6)).all()
 
 
@@ -61,7 +61,7 @@ def test_adam_zero_gradients_leave_theta_unchanged():
     state = init_adam(np.array([1.0, -2.0]))
     config = BaselineConfig(learning_rate=0.01)
     for _ in range(10):
-        adam_step(state, np.zeros(2), config)
+        adam_step(state, np.zeros(2), config.learning_rate, config)
     np.testing.assert_array_equal(state.theta, [1.0, -2.0])
 
 
@@ -92,7 +92,7 @@ def test_adam_matches_reference_on_quadratic():
         losses.append(0.5 * float(state.theta @ (a * state.theta)))
         g = a * state.theta
         grads.append(g)
-        adam_step(state, g, config)
+        adam_step(state, g, config.learning_rate, config)
 
     # loss decreases monotonically after burn-in
     burn = 50
@@ -111,7 +111,7 @@ def test_momentum_free_sgd_is_plain_gradient_descent():
     config = BaselineConfig(learning_rate=lr, momentum=0.0)
     expected = 2.0
     for _ in range(20):
-        sgd_step(state, np.array([a * state.theta[0]]), config)
+        sgd_step(state, np.array([a * state.theta[0]]), config.learning_rate, config)
         expected *= 1.0 - lr * a
         assert abs(state.theta[0] - expected) < 1e-12
 
@@ -125,6 +125,31 @@ def test_run_baseline_is_deterministic():
     np.testing.assert_array_equal(theta_a, theta_b)
     assert log_a.rows == log_b.rows
     assert len(log_a.rows) == 200
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_each_row_logs_the_rate_its_step_applied(optimizer):
+    problem = NoisyQuadraticEnsemble(n_batches=10, dim=4, rng=np.random.default_rng(0))
+    config = BaselineConfig(learning_rate=0.05, schedule=StepDecaySchedule(total_steps=200))
+    theta, log = run_baseline(problem, optimizer, config, 200, rng_streams(3))
+    rates = [row.update_step for row in log.rows]
+    assert rates == [config.lr_at(i) for i in range(200)]
+    drops = [row.step for before, row in zip(log.rows, log.rows[1:])
+             if row.update_step != before.update_step]
+    assert drops == [101, 151]
+    assert rates[100] == pytest.approx(rates[99] / 10, rel=1e-15)
+    assert rates[150] == pytest.approx(rates[149] / 10, rel=1e-15)
+
+    # Replaying the logged rates on the same batch order lands on the same
+    # theta bit for bit: each row logs the rate its step applied.
+    streams = rng_streams(3)
+    init, step = (init_sgd, sgd_step) if optimizer == "sgd" else (init_adam, adam_step)
+    state = init(problem.initial_theta(streams.theta_init))
+    train_stream = BatchStream(problem.train_batches, streams.train_order)
+    for rate in rates:
+        _, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
+        step(state, gradient, rate, config)
+    np.testing.assert_array_equal(state.theta, theta)
 
 
 def test_run_baseline_aborts_on_divergence():

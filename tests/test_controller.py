@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elfopt import controller
 from elfopt.baselines import BaselineConfig, run_baseline
 from elfopt.controller import (
     DivergenceError,
@@ -169,10 +170,8 @@ def _phase_state():
 def _run_phase(problem, config):
     state = _phase_state()
     streams = rng_streams(0)
-    train = BatchStream(problem.train_batches, streams.train_order)
     val = BatchStream(problem.validation_batches, streams.val_order)
-    trigger_line_searches(state, config, problem, train, val,
-                          streams.line_search, streams.cv)
+    trigger_line_searches(state, config, problem, val, streams.line_search, streams.cv)
     return state, state.log
 
 
@@ -218,10 +217,8 @@ def test_all_lines_invalid_keeps_previous_update_step():
     state = _phase_state()
     state.update_step = 0.123
     streams = rng_streams(0)
-    train = BatchStream(problem.train_batches, streams.train_order)
     val = BatchStream(problem.validation_batches, streams.val_order)
-    trigger_line_searches(state, config, problem, train, val,
-                          streams.line_search, streams.cv)
+    trigger_line_searches(state, config, problem, val, streams.line_search, streams.cv)
     assert state.update_step == 0.123
     assert (state.theta == 0.0).all()
 
@@ -453,6 +450,41 @@ def test_run_budget_accounting_is_exact():
     assert [row.step for row in log.rows] == list(range(1, state.t + 1))
 
 
+class CountingStream(BatchStream):
+    """A BatchStream that counts the batches drawn from it."""
+
+    made: list = []
+
+    def __init__(self, batches, rng):
+        super().__init__(batches, rng)
+        self.drawn = 0
+        CountingStream.made.append(self)
+
+    def next_batches(self, count):
+        self.drawn += count
+        return super().next_batches(count)
+
+
+@pytest.mark.parametrize("from_validation", [True, False])
+@pytest.mark.parametrize("name", ["quadratic", "logistic-hard"])
+def test_every_drawn_batch_is_recorded_exactly_once(monkeypatch, name, from_validation):
+    monkeypatch.setattr(controller, "BatchStream", CountingStream)
+    monkeypatch.setattr(CountingStream, "made", [])
+    make_problem, _ = PINNED_DECISIONS[name]
+    streams = rng_streams(0)
+    state, log = run(make_problem(streams.data),
+                     ElfConfig(sample_from_validation=from_validation), 2000, streams)
+    train_rows = log.count("sgd") + log.count("grid_search")
+    if from_validation:
+        train, validation = CountingStream.made
+        assert (train.drawn, validation.drawn) == (train_rows, log.count("line_search"))
+        assert (train_rows, log.count("line_search")) == (210, 3006)
+    else:
+        (train,) = CountingStream.made
+        assert train.drawn == train_rows + log.count("line_search") == state.t
+        assert state.t == {"quadratic": 3216, "logistic-hard": 3367}[name]
+
+
 def test_run_aborts_on_divergence():
     class Exploding(OneDQuadratic):
         def batch_loss(self, theta, batch):
@@ -501,8 +533,7 @@ def test_divergence_inside_a_round_keeps_the_log_up_to_the_first_non_finite_load
     streams = rng_streams(0)
     stream = BatchStream(problem.train_batches, streams.val_order)
     with pytest.raises(DivergenceError) as raised:
-        trigger_line_searches(state, config, problem, stream, stream,
-                              streams.line_search, streams.cv)
+        trigger_line_searches(state, config, problem, stream, streams.line_search, streams.cv)
     rows = raised.value.log.rows
     # The anchor and the round's first steps (up to 0.5) load; the round
     # stops at its first step past 0.5, partway through its 40 loads.
