@@ -27,6 +27,10 @@ class StepDecaySchedule:
             raise ValueError("divisor must be positive and finite")
         if not all(0.0 <= m <= 1.0 for m in self.milestones):
             raise ValueError("milestones must lie in [0, 1]")
+        # learning_rate's float ** raises OverflowError where numpy's ** is inf.
+        with np.errstate(over="ignore", under="ignore"):
+            if not 0.0 < np.float64(self.divisor) ** len(self.milestones) < math.inf:
+                raise ValueError("divisor ** len(milestones) must be positive and finite")
 
     def learning_rate(self, base_lr: float, steps_taken: int) -> float:
         passed = sum(

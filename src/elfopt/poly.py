@@ -61,9 +61,7 @@ def evaluate(p: Polynomial, s):
 
 
 def derivative(p: Polynomial) -> Polynomial:
-    """Formal derivative; the derivative of a constant is the zero polynomial."""
-    if p.degree == 0:
-        return Polynomial(np.array([0.0]))
+    """Formal derivative; a constant's is the zero polynomial, npoly.polyder's [0.]."""
     return Polynomial(npoly.polyder(p.coefficients))
 
 
@@ -83,6 +81,17 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
     if nonzero.size == 0 or nonzero[-1] == 0:
         return np.empty(0)
     coef = p.coefficients[: nonzero[-1] + 1]
+    # Where the companion matrix, -coef[:-1] / coef[-1], would not be finite,
+    # the roots are u = s / 2**e of p(2**e * u), 2**e the bracket's scale, on
+    # coefficients rescaled by exact ldexp and cut to normal floats.
+    exponent = 0
+    with np.errstate(over="ignore"):
+        if not np.isfinite(coef[:-1] / coef[-1]).all():
+            exponent = int(np.frexp(max(abs(lo), abs(hi)))[1])
+            shift = exponent * np.arange(coef.size)
+            coef = np.ldexp(coef, shift - (np.frexp(coef)[1] + shift)[coef != 0].max())
+            coef = coef[: np.flatnonzero(np.abs(coef) >= np.finfo(float).tiny)[-1] + 1]
+            lo, hi = float(np.ldexp(lo, -exponent)), float(np.ldexp(hi, -exponent))
     eigenvalues = npoly.polyroots(coef)
     tolerance = ROOT_IMAG_TOL * max(abs(lo), abs(hi))
     roots = eigenvalues.real[np.abs(eigenvalues.imag) <= tolerance]
@@ -103,7 +112,7 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
         polished_values, slopes = values_and_slopes(polished)
     roots = np.where(np.abs(polished_values) < np.abs(values), polished, roots)
     roots = np.unique(roots[(roots >= lo) & (roots <= hi)])
-    return roots[np.diff(roots, prepend=-np.inf) > tolerance]
+    return np.ldexp(roots[np.diff(roots, prepend=-np.inf) > tolerance], exponent)
 
 
 def closest_minimum_to_zero(

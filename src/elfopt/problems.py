@@ -137,12 +137,12 @@ class NoisyQuadraticEnsemble:
         self,
         n_batches: int = 100,
         dim: int = 20,
-        rng: np.random.Generator | None = None,
         center_spread: float = 0.15,
         offset_range: tuple[float, float] = (0.0, 0.1),
+        *,
+        rng: np.random.Generator,
     ):
         _check_sizes(n_batches=n_batches, dim=dim)
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = dim
         self.matrices = np.empty((n_batches, dim, dim))
         for i in range(n_batches):
@@ -225,23 +225,6 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _make_blobs(n, centers, cluster_std, rng):
-    n_classes = centers.shape[0]
-    labels = rng.integers(0, n_classes, size=n)
-    x = centers[labels] + rng.normal(scale=cluster_std, size=(n, centers.shape[1]))
-    return x, labels
-
-
-def _blob_batches(n_train, n_val, centers, cluster_std, batch_size, rng):
-    """Train and validation batches from one seeded blob sample: the first
-    n_train samples train, the next n_val validate."""
-    if n_train < 0 or n_val < 0:
-        raise ValueError("n_train and n_val must be >= 0")
-    x, y = _make_blobs(n_train + n_val, centers, cluster_std, rng)
-    return (_split_batches(x[:n_train], y[:n_train], batch_size),
-            _split_batches(x[n_train:], y[n_train:], batch_size))
-
-
 def _split_batches(x, y, batch_size):
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -254,7 +237,27 @@ def _split_batches(x, y, batch_size):
     ]
 
 
-class LogisticBlobs:
+class _Blobs:
+    """Seeded Gaussian blobs around the class centers, labels drawn before
+    noise; subclasses define batch_loss_and_gradient and batch_accuracy."""
+
+    def __init__(self, n_train, n_val, centers, cluster_std, batch_size, rng):
+        if n_train < 0 or n_val < 0:
+            raise ValueError("n_train and n_val must be >= 0")
+        n = n_train + n_val
+        labels = rng.integers(0, centers.shape[0], size=n)
+        x = centers[labels] + rng.normal(scale=cluster_std, size=(n, centers.shape[1]))
+        self.train_batches = _split_batches(x[:n_train], labels[:n_train], batch_size)
+        self.validation_batches = _split_batches(x[n_train:], labels[n_train:], batch_size)
+
+    def batch_gradient(self, theta, batch) -> np.ndarray:
+        return self.batch_loss_and_gradient(theta, batch)[1]
+
+    def training_accuracy(self, theta) -> float:
+        return float(np.mean([self.batch_accuracy(theta, b) for b in self.train_batches]))
+
+
+class LogisticBlobs(_Blobs):
     """Binary logistic regression on two seeded Gaussian clusters.
 
     theta packs [weights..., bias]; the loss is the mean cross entropy of the
@@ -269,16 +272,15 @@ class LogisticBlobs:
         separation: float = 5.0,
         cluster_std: float = 0.7,
         batch_size: int = 50,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
         _check_sizes(n_features=n_features)
         _check_blob_spread(separation, cluster_std)
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = n_features + 1
         offset = 0.5 * separation / np.sqrt(n_features)
         centers = np.vstack([np.full(n_features, -offset), np.full(n_features, offset)])
-        self.train_batches, self.validation_batches = _blob_batches(
-            n_train, n_val, centers, cluster_std, batch_size, rng)
+        super().__init__(n_train, n_val, centers, cluster_std, batch_size, rng)
 
     def _logits(self, theta, x):
         theta = np.asarray(theta, dtype=float)
@@ -312,9 +314,6 @@ class LogisticBlobs:
         grad[-1] = residual.sum() / residual.size
         return float(per_sample.sum() / per_sample.size), grad
 
-    def batch_gradient(self, theta, batch) -> np.ndarray:
-        return self.batch_loss_and_gradient(theta, batch)[1]
-
     def initial_theta(self, rng: np.random.Generator) -> np.ndarray:
         return 0.01 * rng.normal(size=self.dim)
 
@@ -322,11 +321,8 @@ class LogisticBlobs:
         x, y = batch
         return float(np.mean((self._logits(theta, x) > 0.0) == (y == 1)))
 
-    def training_accuracy(self, theta) -> float:
-        return float(np.mean([self.batch_accuracy(theta, b) for b in self.train_batches]))
 
-
-class MlpBlobs:
+class MlpBlobs(_Blobs):
     """Two-hidden-layer tanh network with softmax cross entropy on seeded
     Gaussian blobs; gradients come from analytic backprop."""
 
@@ -341,17 +337,16 @@ class MlpBlobs:
         separation: float = 4.0,
         cluster_std: float = 0.7,
         batch_size: int = 50,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
         _check_sizes(n_features=n_features, n_classes=n_classes, hidden1=hidden1, hidden2=hidden2)
         _check_blob_spread(separation, cluster_std)
-        rng = rng if rng is not None else np.random.default_rng(0)
         angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
         centers = np.zeros((n_classes, n_features))
         centers[:, 0] = 0.5 * separation * np.cos(angles)
         centers[:, 1 % n_features] = 0.5 * separation * np.sin(angles)
-        self.train_batches, self.validation_batches = _blob_batches(
-            n_train, n_val, centers, cluster_std, batch_size, rng)
+        super().__init__(n_train, n_val, centers, cluster_std, batch_size, rng)
 
         self.n_classes = n_classes
         # (offset, size, shape) of each weight and bias inside theta.
@@ -416,13 +411,7 @@ class MlpBlobs:
         np.sum(dh1, axis=0, out=db1)
         return loss, grad
 
-    def batch_gradient(self, theta, batch) -> np.ndarray:
-        return self.batch_loss_and_gradient(theta, batch)[1]
-
     def batch_accuracy(self, theta, batch) -> float:
         x, y = batch
         _, _, logits, _ = self._forward(theta, x)
         return float(np.mean(logits.argmax(axis=1) == y))
-
-    def training_accuracy(self, theta) -> float:
-        return float(np.mean([self.batch_accuracy(theta, b) for b in self.train_batches]))

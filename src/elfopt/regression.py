@@ -66,13 +66,15 @@ class FitReport:
     cv_test_errors: np.ndarray
 
 
-def _rescaling(positions: np.ndarray) -> tuple[float, float]:
-    """Affine map s -> (s - mid) / half onto [-1, 1]; half falls back to 1
-    when all positions coincide."""
+def _design(positions: np.ndarray, columns: int) -> tuple[np.ndarray, float, float]:
+    """The Vandermonde matrix of the given number of columns on the positions
+    mapped by s -> (s - mid) / half onto [-1, 1], and (mid, half); half falls
+    back to 1 when all positions coincide."""
     lo, hi = positions.min(), positions.max()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return mid, (half if half > 0.0 else 1.0)
+    half = half if half > 0.0 else 1.0
+    return np.vander((positions - mid) / half, columns, increasing=True), mid, half
 
 
 def _raw_coefficients(coef: np.ndarray, mid: float, half: float) -> np.ndarray:
@@ -101,8 +103,7 @@ def fit_polynomial(degree: int, samples: SampleSet) -> Polynomial:
         raise ValueError("degree must be >= 0")
     if len(samples) < degree + 1:
         raise ValueError(f"need at least degree+1={degree + 1} samples, got {len(samples)}")
-    mid, half = _rescaling(samples.positions)
-    design = np.vander((samples.positions - mid) / half, degree + 1, increasing=True)
+    design, mid, half = _design(samples.positions, degree + 1)
     coef, *_ = np.linalg.lstsq(design, samples.losses, rcond=None)
     return Polynomial(_raw_coefficients(coef, mid, half))
 
@@ -144,9 +145,7 @@ def _cv_errors(
     n = len(samples)
     columns = min(max_degree + 1, n)   # more columns than samples are dependent
     test_rows, sizes = _fold_indices(n, folds, rng)
-    mid, half = _rescaling(samples.positions)
-    design = np.vander((samples.positions - mid) / half, columns, increasing=True)
-    q, r = np.linalg.qr(design)
+    q, r = np.linalg.qr(_design(samples.positions, columns)[0])
     # |V_j| = |R_:j|, as Q has orthonormal columns.
     rank_tol = n * np.finfo(float).eps * np.linalg.norm(r, axis=0)
     dependent = (np.abs(np.diag(r)) <= rank_tol).tolist()

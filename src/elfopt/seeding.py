@@ -8,7 +8,7 @@ perturbs any other.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ def substream(master_seed: int, name: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class RngStreams:
-    """The named sub-streams one training run consumes."""
+    """The named sub-streams one training run consumes, keyed by field name."""
 
     data: np.random.Generator          # dataset / problem generation
     theta_init: np.random.Generator    # initial parameter draw
@@ -34,11 +34,5 @@ class RngStreams:
 
 
 def rng_streams(master_seed: int) -> RngStreams:
-    return RngStreams(
-        data=substream(master_seed, "data"),
-        theta_init=substream(master_seed, "theta_init"),
-        train_order=substream(master_seed, "train_order"),
-        val_order=substream(master_seed, "val_order"),
-        line_search=substream(master_seed, "line_search"),
-        cv=substream(master_seed, "cv"),
-    )
+    """Each RngStreams field's generator, keyed by the field's name."""
+    return RngStreams(**{f.name: substream(master_seed, f.name) for f in fields(RngStreams)})

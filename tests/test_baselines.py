@@ -49,6 +49,23 @@ def test_schedule_divides_by_ten_after_half_and_three_quarters():
     assert config.lr_at(99) == 0.1 / 100
 
 
+@pytest.mark.parametrize("divisor, milestones", [
+    (1e200, (0.5, 0.75)),     # 1e400 overflows, and a float ** raises
+    (1e-200, (0.9, 0.9)),     # 1e-400 underflows to 0.0
+    (2.0, (0.5,) * 1100),     # 2**1100 overflows
+])
+def test_schedule_rejects_a_decay_beyond_the_float_range(divisor, milestones):
+    with pytest.raises(ValueError, match="divisor"):
+        StepDecaySchedule(total_steps=100, milestones=milestones, divisor=divisor)
+
+
+def test_schedule_keeps_a_decay_at_the_edge_of_the_float_range():
+    # 1e154**2 = 1e308 is still a float, so this schedule runs as before.
+    config = BaselineConfig(learning_rate=1.0, schedule=StepDecaySchedule(
+        total_steps=100, milestones=(0.5, 0.75), divisor=1e154))
+    assert config.lr_at(99) == 1.0 / 1e154**2
+
+
 def test_adam_first_step_bounded_by_learning_rate():
     lr = 0.01
     state = init_adam(np.zeros(4))

@@ -409,6 +409,29 @@ def test_problem_and_schedule_errors_exit_1_before_writing(tmp_path, capsys, arg
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--optimizer", "adam", "--set", "schedule.divisor=1e200", "--steps", "100"],
+    ["--optimizer", "sgd", "--set", "schedule.divisor=1e-200",
+     "--set", "schedule.milestones=0.9,0.9", "--steps", "100"],
+], ids=["overflow", "underflow"])
+def test_a_decay_beyond_the_float_range_is_a_config_error(tmp_path, capsys, args):
+    out = tmp_path / "nothing"
+    assert main([*args, "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: divisor")
+
+
+@pytest.mark.parametrize("args", [
+    ["--set", "elf.grid_search_candidates=1e100", "--steps", "400"],
+    ["--problem", "mlp", "--set", "elf.grid_search_candidates=1e200", "--steps", "400"],
+], ids=["quadratic", "mlp"])
+def test_fits_over_huge_steps_end_in_an_exit_code(tmp_path, args):
+    # Both values validate. The fits' raw coefficients span more than the
+    # float range, and the losses overflow the CV's squares.
+    with np.errstate(all="ignore"):
+        assert main([*args, "--out", str(tmp_path / "run"), "--quiet"]) in (0, 2)
+
+
 def test_a_size_error_names_its_key(tmp_path, capsys):
     out = tmp_path / "nothing"
     assert main(["--problem", "mlp", "--set", "mlp.n_classes=0", "--out", str(out), "--quiet"]) == 1

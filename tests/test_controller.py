@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elfopt import controller
-from elfopt.baselines import BaselineConfig, run_baseline
+from elfopt.baselines import BaselineConfig, StepDecaySchedule, run_baseline
 from elfopt.controller import (
     DivergenceError,
     ElfConfig,
@@ -654,3 +654,87 @@ def test_config_that_validates_never_crashes(
         return
     assert len(log.rows) == state.t
     assert [row.step for row in log.rows] == list(range(1, state.t + 1))
+
+
+# Small instances of the three problems, for the tests below that run many
+# configurations on each.
+SMALL_PROBLEMS = {
+    "quadratic": lambda rng: NoisyQuadraticEnsemble(n_batches=8, dim=3, rng=rng),
+    "logistic": lambda rng: LogisticBlobs(n_train=200, n_val=100, batch_size=20, rng=rng),
+    "mlp": lambda rng: MlpBlobs(n_train=200, n_val=100, hidden1=4, hidden2=4, batch_size=20,
+                                rng=rng),
+}
+
+
+def _log_scale(lo, hi):
+    """Positive floats whose decimal exponents are uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda exponent: 10.0**exponent)
+
+
+# Widths and step sizes up to 1e300: a fit over such steps has raw
+# coefficients that span more than the float range.
+_WIDTH = st.floats(-1.0, 10.0) | _log_scale(-20.0, 300.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    elf=st.fixed_dictionaries(dict(
+        window_size=st.integers(1, 40),
+        loss_improvement_factor=st.floats(0.0, 1.0),
+        momentum_beta=st.floats(0.0, 0.99),
+        decrease_factor_delta=st.floats(0.0, 0.99),
+        lines_to_average=st.integers(1, 3),
+        grid_search_candidates=st.lists(_WIDTH, max_size=3).map(tuple),
+        grid_search_probe_steps=st.integers(0, 6),
+        sample_from_validation=st.booleans(),
+    )),
+    line=st.fixed_dictionaries(dict(
+        k=st.integers(1, 3),
+        n=st.integers(6, 30),
+        initial_interval_width=_WIDTH,
+        min_window_size=st.integers(1, 20),
+        folds=st.integers(2, 6),
+        max_degree=st.integers(0, 8),
+    )),
+)
+def test_config_that_validates_never_crashes_on_any_problem(elf, line):
+    try:
+        config = ElfConfig(**elf, line_search=LineSearchConfig(**line))
+    except ValueError:
+        return
+    for make_problem in SMALL_PROBLEMS.values():
+        streams = rng_streams(0)
+        problem = make_problem(streams.data)
+        # Huge steps overflow the losses; that is a divergence, not a crash.
+        with np.errstate(all="ignore"):
+            try:
+                state, log = run(problem, config, steps_to_train=200, streams=streams)
+            except DivergenceError:
+                continue
+        assert [row.step for row in log.rows] == list(range(1, state.t + 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    optimizer=st.sampled_from(["sgd", "adam"]),
+    learning_rate=_log_scale(-300.0, 300.0),
+    divisor=_log_scale(-300.0, 300.0),
+    milestones=st.lists(st.floats(0.0, 1.0), max_size=4).map(tuple),
+)
+def test_baseline_config_that_validates_never_crashes(optimizer, learning_rate, divisor,
+                                                      milestones):
+    steps = 40
+    try:
+        config = BaselineConfig(learning_rate=learning_rate, schedule=StepDecaySchedule(
+            total_steps=steps, milestones=milestones, divisor=divisor))
+    except ValueError:
+        return
+    for make_problem in SMALL_PROBLEMS.values():
+        streams = rng_streams(0)
+        problem = make_problem(streams.data)
+        with np.errstate(all="ignore"):
+            try:
+                _, log = run_baseline(problem, optimizer, config, steps, streams)
+            except DivergenceError:
+                continue
+        assert len(log.rows) == steps

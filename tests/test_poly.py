@@ -156,6 +156,22 @@ def test_real_roots_in_returns_exactly_the_planted_roots(first, gaps, log_scale)
     np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-8)
 
 
+def test_real_roots_in_a_huge_bracket_whose_companion_matrix_overflows():
+    # A fit over steps up to ~1e100 maps back to raw coefficients that span
+    # ~400 orders of magnitude: here p(s) = 1e100 * q(s / 2**333) with q's
+    # roots at 0.25, 0.75, 3 and -2, so -c[:-1] / c[-1] holds inf. The
+    # pytest config turns any RuntimeWarning into an error.
+    scale_exponent = 333
+    q = npoly.polyfromroots([0.25, 0.75, 3.0, -2.0])
+    coef = np.ldexp(1e100 * q, -scale_exponent * np.arange(q.size))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(coef[:-1] / coef[-1]).all()
+
+    found = real_roots_in(Polynomial(coef), (0.0, np.ldexp(1.0, scale_exponent + 1)))
+
+    np.testing.assert_allclose(np.ldexp(found, -scale_exponent), [0.25, 0.75], rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # |p(s)| = target solves
 # ---------------------------------------------------------------------------
