@@ -10,9 +10,11 @@ A problem may also define two optional oracles, each with a module function
 that uses it when present and falls back to the required ones otherwise:
 
 - batch_losses_along(theta0, direction, s, batches) measures many (step size,
-  batch) pairs on one line in a single stacked evaluation; the fallback is a
-  loop over batch_loss (MlpBlobs has none, as its stacked forward pass would
-  cost more than the loop).
+  batch) pairs on one line in one call; the fallback is a loop over
+  batch_loss. All three problems define it. The quadratic and logistic ones
+  stack every load; MlpBlobs runs its hidden layers per load in reused
+  buffers and stacks only the softmax head, as weights stacked per load in
+  3-D measured slower than the loop on wide layers.
 - batch_loss_and_gradient(theta, batch) returns (loss, gradient) from one
   forward pass, for the loads that need both; the fallback is
   (float(batch_loss), batch_gradient). LogisticBlobs and MlpBlobs define it
@@ -373,33 +375,66 @@ class MlpBlobs(_Blobs):
                 chunks.append(np.zeros(shape))
         return np.concatenate(chunks)
 
-    def _forward(self, theta, x):
-        w1, b1, w2, b2, w3, b3 = self._unpack(theta)
-        h1 = np.tanh(x @ w1 + b1)
-        h2 = np.tanh(h1 @ w2 + b2)
-        logits = h2 @ w3 + b3
-        logits = logits - logits.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        return h1, h2, logits, log_norm
+    @staticmethod
+    def _trunk(params, x, h1=None, h2=None, logits=None):
+        """Both tanh layers' activations and the logits of the samples x under
+        params, the unpacked theta; each is written into the array passed
+        for it, or into a new one."""
+        w1, b1, w2, b2, w3, b3 = params
+        h1 = np.matmul(x, w1, out=h1)
+        np.tanh(np.add(h1, b1, out=h1), out=h1)
+        h2 = np.matmul(h1, w2, out=h2)
+        np.tanh(np.add(h2, b2, out=h2), out=h2)
+        logits = np.matmul(h2, w3, out=logits)
+        np.add(logits, b3, out=logits)
+        return h1, h2, logits
+
+    @staticmethod
+    def _cross_entropy(logits, y):
+        """The mean softmax cross entropy of labels y over the samples axis,
+        the last but one, and the log normalizer. Shifts logits in place by
+        their max over classes, the last axis."""
+        logits -= logits.max(axis=-1, keepdims=True)
+        log_norm = np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+        # Indexing the flattened samples costs less than np.take_along_axis.
+        picked = logits.reshape(-1, logits.shape[-1])[np.arange(y.size), y.ravel()]
+        return np.mean(log_norm[..., 0] - picked.reshape(y.shape), axis=-1), log_norm
 
     def batch_loss(self, theta, batch) -> float:
         x, y = batch
-        _, _, logits, log_norm = self._forward(theta, x)
-        return float(np.mean(log_norm[:, 0] - logits[np.arange(x.shape[0]), y]))
+        _, _, logits = self._trunk(self._unpack(theta), x)
+        return float(self._cross_entropy(logits, y)[0])
+
+    def batch_losses_along(self, theta0, direction, s, batches) -> np.ndarray:
+        # Per load, one reused parameter buffer holds theta0 + step *
+        # direction, rounded as the batch_loss loop rounds it, and the trunk
+        # writes into reused activations; only the head runs stacked.
+        # Weights stacked per load in 3-D measured slower than the loop.
+        if not batches:
+            return np.empty(0)
+        theta = np.empty(self.dim)
+        params = self._unpack(theta)
+        logits = np.empty((len(batches), batches[0][0].shape[0], self.n_classes))
+        h1 = h2 = None
+        for step, (x, _), out in zip(s.tolist(), batches, logits):
+            np.multiply(step, direction, out=theta)
+            np.add(theta0, theta, out=theta)
+            h1, h2, _ = self._trunk(params, x, h1, h2, out)
+        return self._cross_entropy(logits, np.stack([y for _, y in batches]))[0]
 
     def batch_loss_and_gradient(self, theta, batch) -> tuple[float, np.ndarray]:
         # One forward pass; backprop writes each layer's gradient straight
         # into its slice of the output vector.
         x, y = batch
-        w1, b1, w2, b2, w3, b3 = self._unpack(theta)
-        h1, h2, logits, log_norm = self._forward(theta, x)
+        params = self._unpack(theta)
+        _, _, w2, _, w3, _ = params
+        h1, h2, logits = self._trunk(params, x)
+        loss, log_norm = self._cross_entropy(logits, y)
         m = x.shape[0]
-        rows = np.arange(m)
-        loss = float(np.mean(log_norm[:, 0] - logits[rows, y]))
         grad = np.empty(self.dim)
         dw1, db1, dw2, db2, dw3, db3 = self._unpack(grad)
         probs = np.exp(logits - log_norm)
-        probs[rows, y] -= 1.0
+        probs[np.arange(m), y] -= 1.0
         probs /= m
         np.matmul(h2.T, probs, out=dw3)
         np.sum(probs, axis=0, out=db3)
@@ -409,9 +444,9 @@ class MlpBlobs(_Blobs):
         dh1 = (dh2 @ w2.T) * (1.0 - h1**2)
         np.matmul(x.T, dh1, out=dw1)
         np.sum(dh1, axis=0, out=db1)
-        return loss, grad
+        return float(loss), grad
 
     def batch_accuracy(self, theta, batch) -> float:
         x, y = batch
-        _, _, logits, _ = self._forward(theta, x)
+        _, _, logits = self._trunk(self._unpack(theta), x)
         return float(np.mean(logits.argmax(axis=1) == y))

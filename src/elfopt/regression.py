@@ -5,7 +5,8 @@ Positions are rescaled to [-1, 1] so that high-degree Vandermonde systems stay
 well conditioned. Cross-validation factorizes the design matrix of all samples
 once (QR) and gets each training fold's fit of every degree from a Cholesky
 downdate of that factor by the fold's test rows; the degrees are swept only as
-far as the stop rule needs. Only the final refit maps its solution back to
+far as the stop rule needs, on losses divided by a power of two that brings
+the largest to about 1. Only the final refit maps its solution back to
 coefficients on raw positions.
 """
 
@@ -122,8 +123,26 @@ def _fold_indices(n: int, folds: int, rng: np.random.Generator) -> tuple[np.ndar
     return test_rows, np.where(np.arange(folds) < larger, size + 1, size)
 
 
+def _scaled(losses: np.ndarray) -> tuple[np.ndarray, int]:
+    """losses / 2**e and e, 2**e being the smallest power of two above every
+    |loss| (e = 0 when all are 0). The division is exact, so the CV errors
+    and stop-rule tolerance of the scaled losses are 4**-e times those of
+    the losses, bit for bit while both stay normal floats, and cannot
+    overflow."""
+    e = int(np.frexp(np.max(np.abs(losses)))[1])
+    return np.ldexp(losses, -e), e
+
+
+def _unscaled(errors, e: int) -> np.ndarray:
+    """CV errors of losses scaled by _scaled, in the losses' own units; one
+    past the float range reads inf."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(errors, 2 * e)
+
+
 def _cv_errors(
-    samples: SampleSet, max_degree: int, folds: int, rng: np.random.Generator
+    positions: np.ndarray, losses: np.ndarray, max_degree: int, folds: int,
+    rng: np.random.Generator,
 ) -> Iterator[float]:
     """Yield each degree's CV error in turn, from degree 0 up to max_degree or
     to the last degree the samples and every training fold determine: the
@@ -142,20 +161,20 @@ def _cv_errors(
     (|R_jj| <= n * eps * |V_j|, the tolerance of numpy's matrix_rank), or one
     on which some fold's downdated pivot is at most PIVOT_TOL.
     """
-    n = len(samples)
+    n = positions.size
     columns = min(max_degree + 1, n)   # more columns than samples are dependent
     test_rows, sizes = _fold_indices(n, folds, rng)
-    q, r = np.linalg.qr(_design(samples.positions, columns)[0])
+    q, r = np.linalg.qr(_design(positions, columns)[0])
     # |V_j| = |R_:j|, as Q has orthonormal columns.
     rank_tol = n * np.finfo(float).eps * np.linalg.norm(r, axis=0)
     dependent = (np.abs(np.diag(r)) <= rank_tol).tolist()
     # [Q_t | y_t] per fold, zero rows as padding, and from it every fold's
     # [[M, g, Q_t^T], [g^T, unused, y_t^T]].
     qy = np.zeros((n + 1, columns + 1))
-    qy[:n, :columns], qy[:n, columns] = q, samples.losses
+    qy[:n, :columns], qy[:n, columns] = q, losses
     test_t = qy[test_rows].transpose(0, 2, 1)
     head = np.eye(columns + 1)
-    head[:columns, columns] = head[columns, :columns] = q.T @ samples.losses
+    head[:columns, columns] = head[columns, :columns] = q.T @ losses
     augmented = np.concatenate([head - test_t @ test_t.transpose(0, 2, 1), test_t], axis=2)
     for j in range(columns):
         pivot = augmented[:, j, j]
@@ -181,10 +200,11 @@ def kfold_cv_error(
 ) -> float:
     """k-fold cross-validation MSE for a polynomial of the given degree."""
     _check_cv_arguments(degree, samples, folds)
-    errors = list(_cv_errors(samples, degree, folds, rng))
+    losses, e = _scaled(samples.losses)
+    errors = list(_cv_errors(samples.positions, losses, degree, folds, rng))
     if len(errors) <= degree:
         raise ValueError(f"degree must be in 0..{len(errors) - 1}, as set by the training folds")
-    return errors[degree]
+    return float(_unscaled(errors[degree], e))
 
 
 def select_degree_and_fit(
@@ -197,12 +217,15 @@ def select_degree_and_fit(
     fall of at most STOP_RULE_TOL * mean(losses**2) counts as a rise. The
     sweep ends at max_degree, or earlier at the last degree the samples and
     every training fold determine (see _cv_errors); with no rise by then,
-    that last degree is selected.
+    that last degree is selected. The sweep and the tolerance run on the
+    losses scaled by _scaled, so that huge losses decide as their scaled
+    copies do.
     """
     _check_cv_arguments(max_degree, samples, folds)
-    tol = STOP_RULE_TOL * float(np.mean(samples.losses**2))
+    losses, e = _scaled(samples.losses)
+    tol = STOP_RULE_TOL * float(np.mean(losses**2))
     errors: list[float] = []
-    for error in _cv_errors(samples, max_degree, folds, rng):
+    for error in _cv_errors(samples.positions, losses, max_degree, folds, rng):
         errors.append(error)
         if len(errors) > 1 and error >= errors[-2] - tol:
             chosen = len(errors) - 2
@@ -210,4 +233,4 @@ def select_degree_and_fit(
     else:
         chosen = len(errors) - 1
     refit = fit_polynomial(chosen, samples)
-    return FitReport(polynomial=refit, chosen_degree=chosen, cv_test_errors=np.array(errors))
+    return FitReport(polynomial=refit, chosen_degree=chosen, cv_test_errors=_unscaled(errors, e))

@@ -557,7 +557,7 @@ class WithoutRoundOracle:
         return getattr(self._problem, name)
 
 
-@pytest.mark.parametrize("name", ["quadratic", "logistic-hard"])
+@pytest.mark.parametrize("name", ["quadratic", "logistic-hard", "mlp"])
 def test_round_oracle_and_batch_loss_loop_make_the_same_run(name):
     make_problem, _ = PINNED_DECISIONS[name]
     outcomes = []

@@ -79,6 +79,34 @@ def test_batch_losses_along_matches_the_batch_loss_loop(index):
         batch_losses_along(problem, theta0, d, s, batches[:-1])
 
 
+@pytest.mark.parametrize("make_problem", [
+    lambda: MlpBlobs(n_train=300, n_val=100, batch_size=25, hidden1=8, hidden2=6,
+                     rng=np.random.default_rng(3)),
+    lambda: MlpBlobs(n_train=400, n_val=100, hidden1=64, hidden2=48, n_classes=4,
+                     rng=np.random.default_rng(5)),
+], ids=["mlp", "mlp-wide"])
+def test_mlp_round_oracle_is_bit_identical_to_the_batch_loss_loop(make_problem):
+    problem = make_problem()
+    assert hasattr(problem, "batch_losses_along")
+    rng = np.random.default_rng(37)
+    theta0 = problem.initial_theta(rng) + rng.normal(scale=0.3, size=problem.dim)
+    d = rng.normal(size=problem.dim)
+    d /= np.linalg.norm(d)
+    # s = 0 twice, negative steps and steps whose losses near the float
+    # range's top, the first four on one batch
+    s = np.concatenate([[0.0, -0.7, 0.0, -1e-3, 1e200, -1e200, 1e300],
+                        rng.uniform(-2.0, 3.0, 30)])
+    picks = rng.integers(len(problem.train_batches), size=s.size)
+    picks[:4] = picks[0]
+    batches = [problem.train_batches[i] for i in picks]
+    looped = np.array([problem.batch_loss(theta0 + step * d, batch)
+                       for step, batch in zip(s.tolist(), batches)])
+    assert np.all(np.isfinite(looped)) and looped[4:7].min() > 1e190
+    for count in (s.size, 1, 0):   # a full round, a one-load round, an empty round
+        along = problem.batch_losses_along(theta0, d, s[:count], batches[:count])
+        assert along.shape == (count,) and along.tobytes() == looped[:count].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # fused loss and gradient
 # ---------------------------------------------------------------------------

@@ -339,6 +339,24 @@ def test_cv_errors_and_chosen_degree_match_oracles(
     assert report.chosen_degree == _enumerate_stop_rule(positions, losses, capped, folds, seed)
 
 
+@pytest.mark.parametrize("exponent", [-1000, -60, 0, 60, 700, 1000])
+def test_losses_scaled_by_a_power_of_two_decide_alike(exponent):
+    # Losses near the float range's top once overflowed the CV sweep, and
+    # near its bottom underflowed it to zero errors.
+    rng = np.random.default_rng(21)
+    positions = rng.uniform(0.0, 2.0, 101)
+    losses = 1.0 + (positions - 0.7) ** 2 + rng.normal(scale=0.05, size=101)
+    scaled = SampleSet(positions, np.ldexp(losses, exponent))
+    base = select_degree_and_fit(SampleSet(positions, losses), 10, 5, np.random.default_rng(3))
+    report = select_degree_and_fit(scaled, 10, 5, np.random.default_rng(3))
+    assert base.chosen_degree == 2 and report.chosen_degree == base.chosen_degree
+    with np.errstate(over="ignore"):
+        want = np.ldexp(base.cv_test_errors, 2 * exponent)
+    assert report.cv_test_errors.tobytes() == want.tobytes()
+    error = kfold_cv_error(2, scaled, 5, np.random.default_rng(3))
+    assert error == want[2]
+
+
 def test_selection_is_deterministic():
     rng = np.random.default_rng(5)
     positions = rng.uniform(0.0, 2.0, 150)
