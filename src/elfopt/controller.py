@@ -105,10 +105,14 @@ class TrainingLog:
 
 @dataclass
 class OptimizerState:
+    """A run's parameters, step size and trigger state. The step window's SGD
+    losses are window_losses[:window_count], a reused buffer doubled when full."""
+
     theta: np.ndarray
     momentum_buffer: np.ndarray
     update_step: float = 0.0
-    losses: list[float] = field(default_factory=list)
+    window_losses: np.ndarray = field(default_factory=lambda: np.empty(256))
+    window_count: int = 0
     last_mean_loss: float = 0.0
     t_of_last_update: int = -1
     expected_per_step_improvement: float = np.inf
@@ -119,6 +123,11 @@ class OptimizerState:
     def t(self) -> int:
         """Batch loads so far: the log's row count."""
         return len(self.log.rows)
+
+    def window_mean(self) -> float:
+        """np.mean of the window's losses by its own sum and division; nan if empty."""
+        k = self.window_count
+        return float(np.add.reduce(self.window_losses[:k])) / k if k else math.nan
 
 
 def trigger_terms(
@@ -160,9 +169,8 @@ def apply_decrease_factor(
     if delta == 0.0 or bracket_end <= s_min:
         return s_min
     target = evaluate(fit, s_min) + delta * (evaluate(fit, 0.0) - evaluate(fit, s_min))
-    roots = real_roots_in(fit - target, (s_min, bracket_end))
-    roots = roots[roots > s_min]
-    return float(roots[0]) if roots.size else s_min
+    roots = real_roots_in(fit - target, (s_min, bracket_end)).tolist()
+    return next((root for root in roots if root > s_min), s_min)
 
 
 def initial_grid_search(
@@ -230,10 +238,10 @@ def trigger_line_searches(
         direction = -state.momentum_buffer / norm
         theta0 = state.theta.copy()
 
-        def oracle(s: np.ndarray) -> list[float]:
+        def oracle(s: np.ndarray) -> np.ndarray:
             batches = sample_stream.next_batches(s.size)
-            losses = batch_losses_along(problem, theta0, direction, s, batches).tolist()
-            state.log.record("line_search", losses, state.update_step)
+            losses = batch_losses_along(problem, theta0, direction, s, batches)
+            state.log.record("line_search", losses.tolist(), state.update_step)
             return losses
 
         result = elf_line_search(oracle, config.line_search, line_rng, cv_rng)
@@ -269,9 +277,9 @@ def trigger_line_searches(
     # the only reading under which a later plateau can re-trigger a search.
     # A phase right after the grid search has no SGD losses yet; the grid
     # search left its baseline level in last_mean_loss.
-    pre_level = float(np.mean(state.losses)) if state.losses else state.last_mean_loss
+    pre_level = state.window_mean() if state.window_count else state.last_mean_loss
     state.last_mean_loss = pre_level - float(np.sum(applied_improvements))
-    state.losses = []
+    state.window_count = 0
     state.t_of_last_update = state.t
 
 
@@ -309,7 +317,7 @@ def run(
     )
 
     while state.t < steps_to_train:
-        mean_window = float(np.mean(state.losses)) if state.losses else float("nan")
+        mean_window = state.window_mean()
         fires, on_boundary, real, expected = trigger_terms(
             state.t,
             state.t_of_last_update,
@@ -329,12 +337,12 @@ def run(
                 continue
             # Zero-norm search direction everywhere: no batch was loaded,
             # so take an SGD step to keep the run progressing.
-        elif on_boundary and state.losses:
+        elif on_boundary and state.window_count:
             # Window boundary without a search: roll the reference level
             # so real_improvement keeps measuring progress over the most
             # recent step window (a plateau then reads as ~0).
             state.last_mean_loss = mean_window
-            state.losses = []
+            state.window_count = 0
         _sgd_step(problem, state, train_stream, expected, real)
     return state, state.log
 
@@ -343,7 +351,10 @@ def _sgd_step(problem, state, train_stream, expected=None, real=None):
     """One unit-gradient SGD step: the displacement norm equals update_step."""
     loss, state.theta = _unit_step(
         problem, train_stream, state.theta, state.update_step, state, "sgd", expected, real)
-    state.losses.append(loss)
+    if state.window_count == state.window_losses.size:
+        state.window_losses = np.concatenate((state.window_losses, state.window_losses))
+    state.window_losses[state.window_count] = loss
+    state.window_count += 1
 
 
 def _unit_step(problem, stream, theta, step, state, event, expected=None, real=None):

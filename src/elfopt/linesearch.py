@@ -142,9 +142,10 @@ def elf_line_search(
     if cv_rng is None:
         cv_rng = rng
     width = config.initial_interval_width
-    positions: list[float] = [0.0]
-    losses: list[float] = _measure(oracle, np.zeros(1))
-    rounds: list[int] = [0]
+    # One slot per load, round r's in [1 + r*n, 1 + (r+1)*n); SampleSets view the filled prefix.
+    positions = np.zeros(1 + config.k * config.n)
+    losses = np.empty_like(positions)
+    losses[:1] = _measure(oracle, positions[:1])
     report: FitReport | None = None
     minimum: float | None = None
 
@@ -160,24 +161,22 @@ def elf_line_search(
                 # origin, otherwise shrink to resolve smaller steps.
                 slope = evaluate(derivative(report.polynomial), 0.0)
                 width = width * 2.0 if slope <= 0.0 else width * 0.5
-        s = np.sort(rng.uniform(0.0, width, config.n))
-        positions.extend(s.tolist())
-        losses.extend(_measure(oracle, s))
-        rounds.extend([r] * config.n)
-        samples = SampleSet(np.array(positions), np.array(losses))
+        start, end = 1 + r * config.n, 1 + (r + 1) * config.n
+        s = positions[start:end] = np.sort(rng.uniform(0.0, width, config.n))
+        losses[start:end] = _measure(oracle, s)
+        samples = SampleSet(positions[:end], losses[:end])
         report = select_degree_and_fit(samples, config.max_degree, config.folds, cv_rng)
         scan_end = EXTRAPOLATION_FACTOR * max(width, float(samples.positions.max()))
         found = closest_minimum_to_zero(report.polynomial, (0.0, scan_end))
         minimum = found[0] if found is not None else None
 
-    return LineSearchResult(
-        minimum_position=minimum, fit=report, samples=samples, rounds=np.array(rounds)
-    )
+    rounds = np.concatenate(([0], np.repeat(np.arange(config.k), config.n)))
+    return LineSearchResult(minimum_position=minimum, fit=report, samples=samples, rounds=rounds)
 
 
-def _measure(oracle: Callable[[np.ndarray], np.ndarray], s: np.ndarray) -> list[float]:
+def _measure(oracle: Callable[[np.ndarray], np.ndarray], s: np.ndarray) -> np.ndarray:
     """One call of the round oracle, checked to return one loss per step size."""
     losses = np.asarray(oracle(s), dtype=float)
     if losses.shape != s.shape:
         raise ValueError(f"the oracle returned shape {losses.shape} for {s.size} step sizes")
-    return losses.tolist()
+    return losses

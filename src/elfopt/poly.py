@@ -1,13 +1,16 @@
 """Polynomials in one variable: evaluation, differentiation, and real roots
 on bounded intervals, from which the bracketed minimum and |p(s)| = target
-solves are read off."""
+solves are read off. evaluate, derivative and real_roots_in's eigenvalues
+repeat numpy.polynomial's polyval, polyder and polyroots arithmetic bit for
+bit without their per-call overhead; numpy.polynomial is used only by the
+tests, as the reference."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 # A companion-matrix eigenvalue counts as real, and two real roots count as
 # one, within this fraction of the bracket's scale: a double real root comes
@@ -33,7 +36,7 @@ class Polynomial:
         coef = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
         if coef.ndim != 1 or coef.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(coef)):
+        if not np.isfinite(coef).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coef)
 
@@ -55,14 +58,19 @@ class Polynomial:
 
 
 def evaluate(p: Polynomial, s):
-    """Evaluate p at s (scalar or array) by nested multiplication (Horner)."""
-    out = npoly.polyval(np.asarray(s, dtype=float), p.coefficients)
-    return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
+    """Evaluate p at s (scalar or array) by polyval's Horner loop."""
+    coef = p.coefficients.tolist()
+    s = float(s) if isinstance(s, float) or np.ndim(s) == 0 else np.asarray(s, dtype=float)
+    value = coef[-1] + s * 0
+    for c in coef[-2::-1]:
+        value = c + value * s
+    return value
 
 
 def derivative(p: Polynomial) -> Polynomial:
-    """Formal derivative; a constant's is the zero polynomial, npoly.polyder's [0.]."""
-    return Polynomial(npoly.polyder(p.coefficients))
+    """Formal derivative by polyder's products j * c[j]; a constant c's is [c * 0]."""
+    c = p.coefficients
+    return Polynomial(c[1:] * np.arange(1, c.size) if c.size > 1 else c[:1] * 0)
 
 
 def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
@@ -75,28 +83,38 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
     Constant polynomials, the zero polynomial included, have no roots here.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"bracket must be a finite non-empty interval, got {bracket}")
-    nonzero = np.flatnonzero(p.coefficients)
-    if nonzero.size == 0 or nonzero[-1] == 0:
-        return np.empty(0)
-    coef = p.coefficients[: nonzero[-1] + 1]
-    # Where the companion matrix, -coef[:-1] / coef[-1], would not be finite,
-    # the roots are u = s / 2**e of p(2**e * u), 2**e the bracket's scale, on
-    # coefficients rescaled by exact ldexp and cut to normal floats.
+    trimmed = p.coefficients.tolist()
+    while len(trimmed) > 1 and trimmed[-1] == 0.0:
+        trimmed.pop()
+    coef = p.coefficients[: len(trimmed)]
+    # Where the companion matrix, -coef[:-1] / coef[-1], would not be finite
+    # (Python floats overflow to inf silently), the roots are u = s / 2**e of
+    # p(2**e * u), 2**e the bracket's scale, on coefficients rescaled by
+    # exact ldexp and cut to normal floats.
     exponent = 0
-    with np.errstate(over="ignore"):
-        if not np.isfinite(coef[:-1] / coef[-1]).all():
+    if not all(math.isfinite(c / trimmed[-1]) for c in trimmed[:-1]):
+        with np.errstate(over="ignore"):
             exponent = int(np.frexp(max(abs(lo), abs(hi)))[1])
             shift = exponent * np.arange(coef.size)
             coef = np.ldexp(coef, shift - (np.frexp(coef)[1] + shift)[coef != 0].max())
             coef = coef[: np.flatnonzero(np.abs(coef) >= np.finfo(float).tiny)[-1] + 1]
             lo, hi = float(np.ldexp(lo, -exponent)), float(np.ldexp(hi, -exponent))
-    eigenvalues = npoly.polyroots(coef)
+        trimmed = coef.tolist()
+    n = len(trimmed) - 1
+    if n > 1:  # polyroots: the sorted eigenvalues of polycompanion's matrix
+        matrix = np.zeros((n, n))
+        matrix.reshape(-1)[n::n + 1] = 1
+        matrix[:, -1] -= np.divide(trimmed[:-1], trimmed[-1])
+        eigenvalues = np.sort(np.linalg.eigvals(matrix)).tolist()
+    else:
+        eigenvalues = [-trimmed[0] / trimmed[1]] if n else []
     tolerance = ROOT_IMAG_TOL * max(abs(lo), abs(hi))
-    roots = eigenvalues.real[np.abs(eigenvalues.imag) <= tolerance]
-    roots = roots[(roots >= lo) & (roots <= hi)]
-
+    roots = [r.real for r in eigenvalues if abs(r.imag) <= tolerance and lo <= r.real <= hi]
+    if not roots:
+        return np.empty(0)
+    roots = np.array(roots)
     powers = np.arange(coef.size)
     slope_coef = powers[1:] * coef[1:]
 
@@ -111,8 +129,9 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
         polished = polished - step
         polished_values, slopes = values_and_slopes(polished)
     roots = np.where(np.abs(polished_values) < np.abs(values), polished, roots)
-    roots = np.unique(roots[(roots >= lo) & (roots <= hi)])
-    return np.ldexp(roots[np.diff(roots, prepend=-np.inf) > tolerance], exponent)
+    roots = sorted(root for root in roots.tolist() if lo <= root <= hi)
+    distinct = [r for r, before in zip(roots, [-math.inf, *roots]) if r - before > tolerance]
+    return np.ldexp(distinct, exponent) if exponent else np.array(distinct)
 
 
 def closest_minimum_to_zero(
@@ -126,13 +145,15 @@ def closest_minimum_to_zero(
     monotone there).
     """
     dp = derivative(p)
-    roots = real_roots_in(dp, bracket)
-    edges = np.concatenate(([float(bracket[0])], roots, [float(bracket[1])]))
-    slopes = evaluate(dp, 0.5 * (edges[:-1] + edges[1:]))
-    minima = roots[(slopes[:-1] < 0.0) & (slopes[1:] > 0.0)]
-    if minima.size == 0:
+    roots = real_roots_in(dp, bracket).tolist()
+    if not roots:
         return None
-    s_min = float(minima[np.argmin(np.abs(minima))])
+    edges = [float(bracket[0]), *roots, float(bracket[1])]
+    slopes = [evaluate(dp, 0.5 * (a + b)) for a, b in zip(edges, edges[1:])]
+    minima = [r for r, left, right in zip(roots, slopes, slopes[1:]) if left < 0.0 < right]
+    if not minima:
+        return None
+    s_min = min(minima, key=abs)
     return s_min, evaluate(p, s_min)
 
 
@@ -149,10 +170,9 @@ def solve_for_value_nearest(
     widens the sampling interval downstream. Returns None when |p| never
     attains the target inside the bracket.
     """
-    candidates = np.union1d(
-        real_roots_in(p - target, bracket), real_roots_in(p + target, bracket)
-    )
-    if target < 0.0 or candidates.size == 0:
+    candidates = (real_roots_in(p - target, bracket).tolist()
+                  + real_roots_in(p + target, bracket).tolist())
+    if target < 0.0 or not candidates:
         return None
-    distance = np.abs(candidates - anchor)
-    return float(candidates[distance <= distance.min() + TIE_TOL].max())
+    cut = min(abs(c - anchor) for c in candidates) + TIE_TOL
+    return float(max(c for c in candidates if abs(c - anchor) <= cut))

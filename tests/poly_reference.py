@@ -1,0 +1,84 @@
+"""numpy.polynomial-based reference for elfopt.poly, used only by tests.
+
+evaluate, derivative and real_roots_in call npoly.polyval, npoly.polyder and
+npoly.polyroots; closest_minimum_to_zero and solve_for_value_nearest read
+their answers off those with whole-array numpy operations. elfopt.poly must
+return the same bits as these on every input.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from elfopt.poly import NEWTON_POLISH_STEPS, ROOT_IMAG_TOL, TIE_TOL, Polynomial
+
+
+def evaluate(p: Polynomial, s):
+    out = npoly.polyval(np.asarray(s, dtype=float), p.coefficients)
+    return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
+
+
+def derivative(p: Polynomial) -> Polynomial:
+    return Polynomial(npoly.polyder(p.coefficients))
+
+
+def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
+        raise ValueError(f"bracket must be a finite non-empty interval, got {bracket}")
+    nonzero = np.flatnonzero(p.coefficients)
+    if nonzero.size == 0 or nonzero[-1] == 0:
+        return np.empty(0)
+    coef = p.coefficients[: nonzero[-1] + 1]
+    exponent = 0
+    with np.errstate(over="ignore"):
+        if not np.isfinite(coef[:-1] / coef[-1]).all():
+            exponent = int(np.frexp(max(abs(lo), abs(hi)))[1])
+            shift = exponent * np.arange(coef.size)
+            coef = np.ldexp(coef, shift - (np.frexp(coef)[1] + shift)[coef != 0].max())
+            coef = coef[: np.flatnonzero(np.abs(coef) >= np.finfo(float).tiny)[-1] + 1]
+            lo, hi = float(np.ldexp(lo, -exponent)), float(np.ldexp(hi, -exponent))
+    eigenvalues = npoly.polyroots(coef)
+    tolerance = ROOT_IMAG_TOL * max(abs(lo), abs(hi))
+    roots = eigenvalues.real[np.abs(eigenvalues.imag) <= tolerance]
+    roots = roots[(roots >= lo) & (roots <= hi)]
+
+    powers = np.arange(coef.size)
+    slope_coef = powers[1:] * coef[1:]
+
+    def values_and_slopes(s):
+        vander = s[:, None] ** powers
+        return vander @ coef, vander[:, :-1] @ slope_coef
+
+    values, slopes = values_and_slopes(roots)
+    polished, polished_values = roots, values
+    for _ in range(NEWTON_POLISH_STEPS):
+        step = np.divide(polished_values, slopes, out=np.zeros_like(slopes), where=slopes != 0.0)
+        polished = polished - step
+        polished_values, slopes = values_and_slopes(polished)
+    roots = np.where(np.abs(polished_values) < np.abs(values), polished, roots)
+    roots = np.unique(roots[(roots >= lo) & (roots <= hi)])
+    return np.ldexp(roots[np.diff(roots, prepend=-np.inf) > tolerance], exponent)
+
+
+def closest_minimum_to_zero(p: Polynomial, bracket: tuple[float, float]):
+    dp = derivative(p)
+    roots = real_roots_in(dp, bracket)
+    edges = np.concatenate(([float(bracket[0])], roots, [float(bracket[1])]))
+    slopes = evaluate(dp, 0.5 * (edges[:-1] + edges[1:]))
+    minima = roots[(slopes[:-1] < 0.0) & (slopes[1:] > 0.0)]
+    if minima.size == 0:
+        return None
+    s_min = float(minima[np.argmin(np.abs(minima))])
+    return s_min, evaluate(p, s_min)
+
+
+def solve_for_value_nearest(p: Polynomial, target: float, anchor: float, bracket):
+    candidates = np.union1d(
+        real_roots_in(p - target, bracket), real_roots_in(p + target, bracket)
+    )
+    if target < 0.0 or candidates.size == 0:
+        return None
+    distance = np.abs(candidates - anchor)
+    return float(candidates[distance <= distance.min() + TIE_TOL].max())

@@ -5,11 +5,12 @@ config validation."""
 from collections import Counter
 
 import numpy as np
+import poly_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elfopt import controller
+from elfopt import controller, linesearch
 from elfopt.baselines import BaselineConfig, StepDecaySchedule, run_baseline
 from elfopt.controller import (
     DivergenceError,
@@ -571,6 +572,93 @@ def test_round_oracle_and_batch_loss_loop_make_the_same_run(name):
     assert t_stacked == t_loop
     assert stacked == loop
     np.testing.assert_allclose(losses_stacked, losses_loop, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "logistic-hard", "mlp"])
+def test_run_is_bit_identical_with_numpy_polynomial_root_finding(monkeypatch, name):
+    # Both runs on this machine, so the comparison holds whatever rounding
+    # its eigenvalue and BLAS routines do.
+    make_problem, _ = PINNED_DECISIONS[name]
+
+    def one_run():
+        streams = rng_streams(0)
+        return run(make_problem(streams.data), ElfConfig(), 2000, streams)
+
+    state, log = one_run()
+    for module in (linesearch, controller):
+        for attr in ("evaluate", "derivative", "real_roots_in",
+                     "closest_minimum_to_zero", "solve_for_value_nearest"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, getattr(poly_reference, attr))
+    ref_state, ref_log = one_run()
+    assert any(search.valid for search in log.line_searches)
+    # Row reprs and integer views compare every bit and keep a failure's
+    # report short: the first differing row, the differing entries.
+    assert len(log.rows) == len(ref_log.rows)
+    assert next((i for i, (row, ref) in enumerate(zip(log.rows, ref_log.rows))
+                 if repr(row) != repr(ref)), None) is None
+    assert np.flatnonzero(state.theta.view(np.int64) != ref_state.theta.view(np.int64)).size == 0
+    assert len(log.line_searches) == len(ref_log.line_searches)
+    for search, ref in zip(log.line_searches, ref_log.line_searches):
+        coefficients = search.fit.polynomial.coefficients
+        assert coefficients.tobytes() == ref.fit.polynomial.coefficients.tobytes()
+
+
+def test_window_mean_is_np_mean_over_the_windows_losses(monkeypatch):
+    """Replays the trigger's bookkeeping from the log: each sgd row's
+    real_improvement is the reference level minus np.mean of the SGD losses
+    since the last reset, and a search phase leaves the window's np.mean less
+    the fitted improvements its steps applied. Windows of 600 outgrow the
+    loss buffer's starting size."""
+    phases = {}
+    trigger = controller.trigger_line_searches
+
+    def spy(state, config, *args):
+        rows, searches = state.t, len(state.log.line_searches)
+        trigger(state, config, *args)
+        phases[rows] = (state.t, state.log.line_searches[searches:], state.last_mean_loss)
+
+    monkeypatch.setattr(controller, "trigger_line_searches", spy)
+    config = ElfConfig(window_size=600)
+    streams = rng_streams(0)
+    problem = NoisyQuadraticEnsemble(n_batches=100, dim=20, rng=streams.data)
+    state, log = run(problem, config, 7000, streams)
+    rows = log.rows
+
+    def same(a, b):
+        return a == b or (np.isnan(a) and np.isnan(b))
+
+    probe = config.grid_search_probe_steps
+    level = float(np.mean([row.train_loss for row in rows[:probe]]))
+    window, t_last, longest, rolls, i = [], None, 0, 0, 0
+    while i < len(rows):
+        if i in phases:
+            end, searches, after = phases[i]
+            assert end > i
+            pre = float(np.mean(window)) if window else level
+            applied = []
+            for search in searches:
+                if search.valid:
+                    fit = search.fit.polynomial
+                    s_target = apply_decrease_factor(
+                        fit, search.minimum_position, config.decrease_factor_delta,
+                        float(search.samples.positions.max()))
+                    applied.append(evaluate(fit, 0.0) - evaluate(fit, s_target))
+            assert same(after, pre - float(np.sum(applied)))
+            level, window, t_last, i = after, [], end, end
+            continue
+        row = rows[i]
+        if row.event == "sgd":
+            assert t_last is not None
+            assert same(row.real_improvement, level - (np.mean(window) if window else np.nan))
+            if (i - t_last + 1) % (config.window_size + 1) == 0 and window:
+                level, window, rolls = float(np.mean(window)), [], rolls + 1
+            window.append(row.train_loss)
+            longest = max(longest, len(window))
+        i += 1
+    initial_capacity = controller.OptimizerState(np.zeros(1), np.zeros(1)).window_losses.size
+    assert longest > initial_capacity
+    assert rolls > 0 and len(phases) > 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Polynomial evaluation, calculus, and bracketed root/minimum location."""
 
+import ast
+import warnings
+from pathlib import Path
+
 import numpy as np
+import poly_reference as reference
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import elfopt
 from elfopt.poly import (
     Polynomial,
     closest_minimum_to_zero,
@@ -257,3 +263,100 @@ def test_derivative_matches_central_differences():
         s = rng.uniform(-3.0, 3.0)
         fd = (evaluate(p, s + h) - evaluate(p, s - h)) / (2.0 * h)
         assert abs(evaluate(dp, s) - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+# ---------------------------------------------------------------------------
+# bit identity with numpy.polynomial
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _coefficients_and_bracket(draw):
+    """Plain coefficient lists of degree 0-10; products of planted roots,
+    bracket ends and double roots among them; and the same products on a
+    bracket of scale 2**e whose raw coefficients span past the float range,
+    which takes real_roots_in's rescaled branch. Some get trailing zeros."""
+    lo = draw(st.sampled_from([0.0, -1.0, 0.25]))
+    hi = lo + draw(st.floats(0.5, 8.0))
+    kind = draw(st.sampled_from(["plain", "roots", "span"]))
+    if kind == "plain":
+        coef = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=11)))
+    else:
+        roots = draw(st.lists(st.sampled_from([lo, hi]) | st.floats(lo - 1.0, hi + 1.0),
+                              min_size=1, max_size=5))
+        roots += draw(st.lists(st.sampled_from(roots), max_size=5))
+        coef = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+        coef = coef * npoly.polyfromroots(roots)
+        if kind == "span" and len(roots) > 1:
+            # p(s) = 1e100 * q(s / 2**e) with the leading coefficient still a
+            # float and the companion entries c[i] / c[-1] past it.
+            e = -(-draw(st.integers(1030, 1300)) // len(roots))
+            coef = np.ldexp(1e100 * coef, -e * np.arange(coef.size))
+            lo, hi = np.ldexp(lo, e), np.ldexp(hi, e)
+            with np.errstate(over="ignore"):
+                assume(not np.isfinite(coef[:-1] / coef[-1]).all())
+    coef = np.concatenate((coef, np.zeros(draw(st.integers(0, 2)))))
+    return coef, (float(lo), float(hi))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_coefficients_and_bracket(), s=st.floats(-20.0, 20.0),
+       target=st.floats(0.0, 5.0), anchor_share=st.floats(0.0, 1.0))
+@example(case=(np.array([0.5, -2.0]), (0.0, 1.0)), s=-3.0, target=0.1, anchor_share=0.5)
+@example(case=(np.array([1.0, -3.0, 2.0, 0.0, 0.0]), (0.0, 3.0)), s=2.5, target=0.5,
+         anchor_share=0.0)
+@example(case=(npoly.polyfromroots([0.0, 2.0, 2.0]), (0.0, 2.0)), s=-1.0, target=1.0,
+         anchor_share=1.0)
+@example(case=(np.ldexp(1e100 * npoly.polyfromroots([0.25, 0.75, 3.0, -2.0]),
+                        -333 * np.arange(5)), (0.0, np.ldexp(1.0, 334))),
+         s=7.0, target=0.0, anchor_share=0.3)
+@example(case=(np.array([-5.0, 0.0]), (0.0, 1.0)), s=0.0, target=5.0, anchor_share=0.5)
+def test_kernel_returns_numpy_polynomials_bits(case, s, target, anchor_share):
+    coef, bracket = case
+    p = Polynomial(coef)
+    points = np.array([bracket[0], bracket[1], s, -s, 0.5 * (bracket[0] + bracket[1])])
+
+    anchor = bracket[0] + anchor_share * (bracket[1] - bracket[0])
+    # Inputs on which the reference itself overflows (an ill-conditioned
+    # root's Newton step, say) are out of scope; on the rest, the kernel
+    # must run without a warning too, as the pytest config makes it an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            roots = [reference.real_roots_in(q, bracket) for q in (p, derivative(p))]
+            minimum = reference.closest_minimum_to_zero(p, bracket)
+            solve = reference.solve_for_value_nearest(p, target, anchor, bracket)
+        except RuntimeWarning:
+            reject()
+
+    assert derivative(p).coefficients.tobytes() == npoly.polyder(coef).tobytes()
+    assert evaluate(p, s).hex() == float(npoly.polyval(s, coef)).hex()
+    assert evaluate(p, -s).hex() == float(npoly.polyval(-s, coef)).hex()
+    assert evaluate(p, points).tobytes() == npoly.polyval(points, coef).tobytes()
+    for q, expected in zip((p, derivative(p)), roots):
+        assert np.array_equal(real_roots_in(q, bracket), expected)
+    assert closest_minimum_to_zero(p, bracket) == minimum
+    assert solve_for_value_nearest(p, target, anchor, bracket) == solve
+
+
+def test_solve_still_rejects_a_bad_bracket():
+    with pytest.raises(ValueError):
+        solve_for_value_nearest(Polynomial([1.0, 1.0]), -1.0, 0.0, (1.0, 1.0))
+
+
+def test_no_module_of_the_package_imports_numpy_polynomial():
+    paths = sorted(Path(elfopt.__file__).parent.glob("*.py"))
+    assert paths
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and node.attr == "polynomial":
+                names = [f"{ast.unparse(node.value)}.polynomial"]
+            else:
+                continue
+            offenders += [(path.name, name) for name in names
+                          if name.split(".")[:2] in (["numpy", "polynomial"], ["np", "polynomial"])]
+    assert offenders == []
