@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineConfig, StepDecaySchedule, run_baseline
-from .controller import DivergenceError, ElfConfig, LogRow, TrainingLog, run
+from .controller import DivergenceError, ElfConfig, LogRow, TrainingLog, euclidean_norm, run
 from .linesearch import LineSearchConfig
 from .problems import LogisticBlobs, MlpBlobs, NoisyQuadraticEnsemble, cross_section_profile
 from .seeding import rng_streams
@@ -190,7 +190,13 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def write_training_log(path: Path, log: TrainingLog) -> None:
-    _write_csv(path, LogRow._fields, log.rows)
+    """One row per load; a segment's shared last three cells are formatted
+    once, into a string that format_value passes through."""
+    rows = []
+    for first, event, losses, *shared in log.segments:
+        tail = ",".join(map(format_value, shared))
+        rows.extend((step, event, loss, tail) for step, loss in enumerate(losses, start=first))
+    _write_csv(path, LogRow._fields, rows)
 
 
 def write_line_csvs(out_dir: Path, log: TrainingLog) -> None:
@@ -259,7 +265,7 @@ def run_experiment(config: RunConfig) -> int:
     write_fits_csv(out_dir / "fits.csv", log, config["elf.line.max_degree"])
 
     if not config["quiet"]:
-        print(f"run complete: {len(log.rows)} steps "
+        print(f"run complete: {len(log)} steps "
               f"(sgd={log.count('sgd')}, line_search={log.count('line_search')}, "
               f"grid_search={log.count('grid_search')}), "
               f"{len(log.line_searches)} line searches, artifacts in {out_dir}")
@@ -276,13 +282,13 @@ def dump_cross_section(config: RunConfig) -> int:
     mode = config["cross_section.direction"]
     if mode == "batch_gradient":
         gradient = problem.batch_gradient(theta0, problem.train_batches[0])
-        norm = float(np.linalg.norm(gradient))
+        norm = euclidean_norm(gradient)
         if norm == 0.0:
             raise ConfigError("zero gradient at the initial parameters; use direction=random")
         direction = -gradient / norm
     elif mode == "random":
         vector = streams.line_search.normal(size=theta0.size)
-        direction = vector / np.linalg.norm(vector)
+        direction = vector / euclidean_norm(vector)
     else:
         raise ConfigError(f"unknown cross_section.direction {mode!r}")
 

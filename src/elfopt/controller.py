@@ -10,8 +10,9 @@ suggested step sizes, and training resumes with the new step.
 Step accounting is strict: every batch load (SGD step, line-search sample,
 grid-search probe) is written out where it happens as three statements: draw
 the batches from their stream, measure them with the problem's oracle, and
-call TrainingLog.record, which numbers one row per load. Nothing else records
-a load, and the step counter state.t is the log's row count. A line search's
+call TrainingLog.record, which stores the call's losses as one segment and
+numbers one row per load. Nothing else records a load, and the step counter
+state.t is the log's row count, len(log). A line search's
 round oracle draws one batch per step size and measures them all with one
 batch_losses_along call; an SGD step or grid-search probe measures its batch's
 loss and gradient with one loss_and_gradient call and steps with that gradient.
@@ -84,23 +85,42 @@ class LogRow(NamedTuple):
 _DIVERGES = {"sgd": "training", "line_search": "line-search"}
 
 
-@dataclass
 class TrainingLog:
-    rows: list[LogRow] = field(default_factory=list)
-    line_searches: list[LineSearchResult] = field(default_factory=list)
+    """Every batch load of a run, and its line searches. record stores one
+    segment per call, (first step, event, losses, update_step, expected,
+    real), whose losses are the loads of consecutive steps; rows derives one
+    LogRow per load from the segments."""
+
+    def __init__(self):
+        self.segments: list[tuple] = []
+        self.line_searches: list[LineSearchResult] = []
+        self._loads = 0
+
+    def __len__(self) -> int:
+        return self._loads
+
+    @property
+    def rows(self) -> list[LogRow]:
+        return [LogRow(step, event, loss, update_step, expected, real)
+                for first, event, losses, update_step, expected, real in self.segments
+                for step, loss in enumerate(losses, start=first)]
 
     def count(self, event: str) -> int:
-        return sum(1 for row in self.rows if row.event == event)
+        return sum(len(segment[2]) for segment in self.segments if segment[1] == event)
 
-    def record(self, event, losses, update_step=None, expected=None, real=None) -> None:
-        """Append one row per loss, numbered on from the log's length; the
-        first non-finite sgd or line_search loss raises DivergenceError with
-        the log ending on its row."""
-        diverges = event in _DIVERGES
-        for step, loss in enumerate(losses, start=len(self.rows) + 1):
-            self.rows.append(LogRow(step, event, loss, update_step, expected, real))
-            if diverges and not math.isfinite(loss):
-                raise DivergenceError(f"non-finite {_DIVERGES[event]} loss at step {step}", self)
+    def record(self, event, losses: list[float], update_step=None, expected=None,
+               real=None) -> None:
+        """Append one segment of losses (Python floats), numbered on from the
+        log's length; the first non-finite sgd or line_search loss raises
+        DivergenceError with the log ending on its row."""
+        diverged = event in _DIVERGES and not all(map(math.isfinite, losses))
+        if diverged:
+            losses = losses[: next(i for i, loss in enumerate(losses)
+                                   if not math.isfinite(loss)) + 1]
+        self.segments.append((self._loads + 1, event, losses, update_step, expected, real))
+        self._loads += len(losses)
+        if diverged:
+            raise DivergenceError(f"non-finite {_DIVERGES[event]} loss at step {self._loads}", self)
 
 
 @dataclass
@@ -122,12 +142,25 @@ class OptimizerState:
     @property
     def t(self) -> int:
         """Batch loads so far: the log's row count."""
-        return len(self.log.rows)
+        return len(self.log)
 
     def window_mean(self) -> float:
         """np.mean of the window's losses by its own sum and division; nan if empty."""
         k = self.window_count
         return float(np.add.reduce(self.window_losses[:k])) / k if k else math.nan
+
+
+def euclidean_norm(vector: np.ndarray) -> float:
+    """np.linalg.norm(vector) of a 1-D float array, bit for bit, except
+    where its sum of squares overflows: finite entries past about 1e154 are
+    then divided by the largest |entry| first. np.vdot, unlike the dot
+    np.linalg.norm takes, warns of no overflow."""
+    norm = math.sqrt(np.vdot(vector, vector))
+    if norm == math.inf and np.isfinite(vector).all():
+        scale = float(np.max(np.abs(vector)))
+        scaled = np.divide(vector, scale)
+        norm = scale * math.sqrt(np.vdot(scaled, scaled))
+    return norm
 
 
 def trigger_terms(
@@ -232,7 +265,7 @@ def trigger_line_searches(
     for _ in range(config.lines_to_average):
         gradient = problem.batch_gradient(state.theta, state.current_batch)
         state.momentum_buffer = config.momentum_beta * state.momentum_buffer + gradient
-        norm = float(np.linalg.norm(state.momentum_buffer))
+        norm = euclidean_norm(state.momentum_buffer)
         if norm == 0.0:
             continue
         direction = -state.momentum_buffer / norm
@@ -365,5 +398,5 @@ def _unit_step(problem, stream, theta, step, state, event, expected=None, real=N
     state.current_batch = stream.next_batch()
     loss, gradient = loss_and_gradient(problem, theta, state.current_batch)
     state.log.record(event, [loss], step, expected, real)
-    norm = float(np.linalg.norm(gradient))
+    norm = euclidean_norm(gradient)
     return loss, theta - step * (gradient / norm) if norm > 0.0 else theta

@@ -10,6 +10,7 @@ re-chosen so the point cloud around the minimum stays wider than high.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,8 +86,21 @@ class LineSearchResult:
 
 
 def third_quartile(values: np.ndarray) -> float:
-    """Q3 with linear interpolation between order statistics (R-7 rule)."""
-    return float(np.quantile(np.asarray(values, dtype=float), 0.75))
+    """Q3 with linear interpolation between order statistics (R-7 rule):
+    np.quantile(values, 0.75) bit for bit, by its steps on Python floats. Its
+    np.partition call places tied 0.0 and -0.0 as np.quantile's does, and
+    its _lerp works down from the upper statistic at weights >= 0.5."""
+    values = np.array(values, dtype=float)
+    index = 0.75 * (values.size - 1)
+    below = math.floor(index) if index < values.size - 1 else -1
+    above = below + 1 if below >= 0 else -1
+    values.partition(sorted({0, -1, below, above}))
+    last = values.item(-1)
+    if math.isnan(last):
+        return last
+    lo, hi, weight = values.item(below), values.item(above), index - below
+    diff = hi - lo
+    return hi - diff * (1 - weight) if weight >= 0.5 else lo + diff * weight
 
 
 def chose_sample_interval(

@@ -8,6 +8,7 @@ tests, as the reference."""
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,19 +115,28 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
     roots = [r.real for r in eigenvalues if abs(r.imag) <= tolerance and lo <= r.real <= hi]
     if not roots:
         return np.empty(0)
-    roots = np.array(roots)
     powers = np.arange(coef.size)
     slope_coef = powers[1:] * coef[1:]
+    # p's powers and terms, and the sums of p and p', stay finite at every
+    # |s| <= reach, with a factor of 2 to spare for rounding. Past it (a root
+    # near the float range's edge, or a Newton step thrown far by a nearly
+    # flat slope) any overflow is silenced: an overflowed |p| is inf or nan,
+    # which never beats the eigenvalue's, so that polish is dropped.
+    reach = (0.5 * np.finfo(float).max / max(1.0, (n + 1) * sum(map(abs, trimmed)))) ** (1 / n)
 
-    def values_and_slopes(s):
-        vander = s[:, None] ** powers
-        return vander @ coef, vander[:, :-1] @ slope_coef
+    def values_and_slopes(s: list[float]):
+        beyond = max(1.0, *map(abs, s)) > reach
+        with np.errstate(over="ignore", invalid="ignore") if beyond else nullcontext():
+            vander = np.array(s)[:, None] ** powers
+            return vander @ coef, vander[:, :-1] @ slope_coef
 
     values, slopes = values_and_slopes(roots)
     polished, polished_values = roots, values
     for _ in range(NEWTON_POLISH_STEPS):
-        step = np.divide(polished_values, slopes, out=np.zeros_like(slopes), where=slopes != 0.0)
-        polished = polished - step
+        # Python floats divide and subtract as np.divide and np.subtract do,
+        # but overflow to inf without a warning.
+        polished = [x - (v / d if d != 0.0 else 0.0) for x, v, d
+                    in zip(polished, polished_values.tolist(), slopes.tolist())]
         polished_values, slopes = values_and_slopes(polished)
     roots = np.where(np.abs(polished_values) < np.abs(values), polished, roots)
     roots = sorted(root for root in roots.tolist() if lo <= root <= hi)

@@ -17,9 +17,11 @@ that uses it when present and falls back to the required ones otherwise:
   3-D measured slower than the loop on wide layers.
 - batch_loss_and_gradient(theta, batch) returns (loss, gradient) from one
   forward pass, for the loads that need both; the fallback is
-  (float(batch_loss), batch_gradient). LogisticBlobs and MlpBlobs define it
-  and derive batch_gradient from it; NoisyQuadraticEnsemble, whose loss and
-  gradient share only theta - center, uses the fallback.
+  (float(batch_loss), batch_gradient). All three problems define it.
+  LogisticBlobs and MlpBlobs derive batch_gradient from it;
+  NoisyQuadraticEnsemble, whose loss and gradient share only theta -
+  center, computes that difference once and each of the two as its own
+  method does.
 """
 
 from __future__ import annotations
@@ -146,11 +148,16 @@ class NoisyQuadraticEnsemble:
     ):
         _check_sizes(n_batches=n_batches, dim=dim)
         self.dim = dim
-        self.matrices = np.empty((n_batches, dim, dim))
+        # Each batch draws its normal(dim, dim), then its uniform(dim); one
+        # stacked QR and matmul then build every Q diag(eigs) Q', as
+        # q * eigs equals q @ np.diag(eigs) bit for bit.
+        normals = np.empty((n_batches, dim, dim))
+        eigs = np.empty((n_batches, dim))
         for i in range(n_batches):
-            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-            eigs = rng.uniform(*self.EIG_RANGE, size=dim)
-            self.matrices[i] = q @ np.diag(eigs) @ q.T
+            normals[i] = rng.normal(size=(dim, dim))
+            eigs[i] = rng.uniform(*self.EIG_RANGE, size=dim)
+        q = np.linalg.qr(normals)[0]
+        self.matrices = np.matmul(q * eigs[:, None, :], q.transpose(0, 2, 1))
         self.centers = rng.normal(scale=center_spread, size=(n_batches, dim))
         self.offsets = rng.uniform(*offset_range, size=n_batches)
 
@@ -166,6 +173,12 @@ class NoisyQuadraticEnsemble:
     def batch_gradient(self, theta, batch: int) -> np.ndarray:
         d = np.asarray(theta, dtype=float) - self.centers[batch]
         return self.matrices[batch] @ d
+
+    def batch_loss_and_gradient(self, theta, batch: int) -> tuple[float, np.ndarray]:
+        # One theta - center for both, each then computed as its own method does.
+        d = np.asarray(theta, dtype=float) - self.centers[batch]
+        a = self.matrices[batch]
+        return float(0.5 * d @ a @ d + self.offsets[batch]), a @ d
 
     def batch_losses_along(self, theta0, direction, s, batches) -> np.ndarray:
         # Stacked matmuls in batch_loss's order, (0.5 d'A) d, so each loss

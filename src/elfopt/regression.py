@@ -68,13 +68,15 @@ class FitReport:
 
 
 def _design(positions: np.ndarray, columns: int) -> tuple[np.ndarray, float, float]:
-    """The Vandermonde matrix of the given number of columns on the positions
-    mapped by s -> (s - mid) / half onto [-1, 1], and (mid, half); half falls
-    back to 1 when all positions coincide."""
+    """The Vandermonde matrix of the given number of columns, at most one per
+    position as more are dependent, on the positions mapped by
+    s -> (s - mid) / half onto [-1, 1], and (mid, half); half falls back to
+    1 when all positions coincide."""
     lo, hi = positions.min(), positions.max()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     half = half if half > 0.0 else 1.0
+    columns = min(columns, positions.size)
     return np.vander((positions - mid) / half, columns, increasing=True), mid, half
 
 
@@ -98,14 +100,19 @@ def fit_polynomial(degree: int, samples: SampleSet) -> Polynomial:
     The solve uses an orthogonal decomposition (SVD-backed lstsq) on the
     rescaled basis, never bare normal equations. Coefficients are returned in
     raw-position units, mapped back by _raw_coefficients. Degree selection
-    calls this once, for its refit.
+    refits by the same solve, on the leading columns of its sweep's design.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if len(samples) < degree + 1:
         raise ValueError(f"need at least degree+1={degree + 1} samples, got {len(samples)}")
-    design, mid, half = _design(samples.positions, degree + 1)
-    coef, *_ = np.linalg.lstsq(design, samples.losses, rcond=None)
+    return _least_squares(*_design(samples.positions, degree + 1), samples.losses)
+
+
+def _least_squares(design: np.ndarray, mid: float, half: float, losses: np.ndarray) -> Polynomial:
+    """The least-squares fit of the losses on the design's columns, in raw
+    positions."""
+    coef, *_ = np.linalg.lstsq(design, losses, rcond=None)
     return Polynomial(_raw_coefficients(coef, mid, half))
 
 
@@ -141,14 +148,14 @@ def _unscaled(errors, e: int) -> np.ndarray:
 
 
 def _cv_errors(
-    positions: np.ndarray, losses: np.ndarray, max_degree: int, folds: int,
-    rng: np.random.Generator,
+    design: np.ndarray, losses: np.ndarray, folds: int, rng: np.random.Generator,
 ) -> Iterator[float]:
-    """Yield each degree's CV error in turn, from degree 0 up to max_degree or
-    to the last degree the samples and every training fold determine: the
-    mean over folds, in fold order, of the degree's mean squared test error.
+    """Yield each degree's CV error in turn, from degree 0 up to the design's
+    last column or to the last degree the samples and every training fold
+    determine: the mean over folds, in fold order, of the degree's mean
+    squared test error.
 
-    The full design V, on the rescaled basis of all samples, is factorized
+    The design V, of all samples on their rescaled basis, is factorized
     once as V = QR. In Q's coordinates fold k's training Gram matrix is the
     downdate M = I - Q_t^T Q_t by Q's test rows Q_t, and its right-hand side
     is g = Q^T y - Q_t^T y_t. One column loop Cholesky-factorizes every
@@ -161,10 +168,9 @@ def _cv_errors(
     (|R_jj| <= n * eps * |V_j|, the tolerance of numpy's matrix_rank), or one
     on which some fold's downdated pivot is at most PIVOT_TOL.
     """
-    n = positions.size
-    columns = min(max_degree + 1, n)   # more columns than samples are dependent
+    n, columns = design.shape
     test_rows, sizes = _fold_indices(n, folds, rng)
-    q, r = np.linalg.qr(_design(positions, columns)[0])
+    q, r = np.linalg.qr(design)
     # |V_j| = |R_:j|, as Q has orthonormal columns.
     rank_tol = n * np.finfo(float).eps * np.linalg.norm(r, axis=0)
     dependent = (np.abs(np.diag(r)) <= rank_tol).tolist()
@@ -201,7 +207,7 @@ def kfold_cv_error(
     """k-fold cross-validation MSE for a polynomial of the given degree."""
     _check_cv_arguments(degree, samples, folds)
     losses, e = _scaled(samples.losses)
-    errors = list(_cv_errors(samples.positions, losses, degree, folds, rng))
+    errors = list(_cv_errors(_design(samples.positions, degree + 1)[0], losses, folds, rng))
     if len(errors) <= degree:
         raise ValueError(f"degree must be in 0..{len(errors) - 1}, as set by the training folds")
     return float(_unscaled(errors[degree], e))
@@ -222,15 +228,18 @@ def select_degree_and_fit(
     copies do.
     """
     _check_cv_arguments(max_degree, samples, folds)
+    design, mid, half = _design(samples.positions, max_degree + 1)
     losses, e = _scaled(samples.losses)
     tol = STOP_RULE_TOL * float(np.mean(losses**2))
     errors: list[float] = []
-    for error in _cv_errors(samples.positions, losses, max_degree, folds, rng):
+    for error in _cv_errors(design, losses, folds, rng):
         errors.append(error)
         if len(errors) > 1 and error >= errors[-2] - tol:
             chosen = len(errors) - 2
             break
     else:
         chosen = len(errors) - 1
-    refit = fit_polynomial(chosen, samples)
+    # np.vander's columns are running products, so the design's first
+    # chosen + 1 columns are fit_polynomial's own design, bit for bit.
+    refit = _least_squares(design[:, : chosen + 1], mid, half, samples.losses)
     return FitReport(polynomial=refit, chosen_degree=chosen, cv_test_errors=_unscaled(errors, e))

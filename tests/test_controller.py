@@ -2,7 +2,10 @@
 with rigged oracles, grid search, step accounting, pinned run decisions and
 config validation."""
 
+import math
+import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import poly_reference
@@ -17,7 +20,9 @@ from elfopt.controller import (
     ElfConfig,
     LogRow,
     OptimizerState,
+    TrainingLog,
     apply_decrease_factor,
+    euclidean_norm,
     initial_grid_search,
     run,
     trigger_line_searches,
@@ -25,6 +30,7 @@ from elfopt.controller import (
 )
 from elfopt.linesearch import LineSearchConfig
 from elfopt.poly import Polynomial, evaluate
+from elfopt.regression import fit_polynomial
 from elfopt.problems import (
     BatchStream,
     LogisticBlobs,
@@ -397,6 +403,10 @@ def test_run_displacement_norm_equals_update_step():
             self.gradient_thetas.append(np.asarray(theta, dtype=float).copy())
             return super().batch_gradient(theta, batch)
 
+        def batch_loss_and_gradient(self, theta, batch):
+            self.gradient_thetas.append(np.asarray(theta, dtype=float).copy())
+            return super().batch_loss_and_gradient(theta, batch)
+
     streams = rng_streams(4)
     problem = Recording(n_batches=10, dim=5, rng=streams.data)
     # no grid search and a window too wide to retrigger: after one leading
@@ -486,6 +496,82 @@ def test_every_drawn_batch_is_recorded_exactly_once(monkeypatch, name, from_vali
         assert state.t == {"quadratic": 3216, "logistic-hard": 3367}[name]
 
 
+class RowPerLoadLog:
+    """The training log as one LogRow per load: the reference for
+    TrainingLog's segments."""
+
+    def __init__(self):
+        self.rows = []
+
+    def record(self, event, losses, update_step=None, expected=None, real=None):
+        names = {"sgd": "training", "line_search": "line-search"}
+        for step, loss in enumerate(losses, start=len(self.rows) + 1):
+            self.rows.append(LogRow(step, event, loss, update_step, expected, real))
+            if event in names and not math.isfinite(loss):
+                raise DivergenceError(f"non-finite {names[event]} loss at step {step}", self)
+
+
+_LOSS = st.floats(-1e3, 1e3) | st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1e308])
+_FIELD = st.none() | st.floats(allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(calls=st.lists(st.tuples(st.sampled_from(["sgd", "line_search", "grid_search"]),
+                                st.lists(_LOSS, max_size=12), _FIELD, _FIELD, _FIELD),
+                      max_size=12))
+def test_segment_log_equals_a_row_per_load_log(calls):
+    log, ref = TrainingLog(), RowPerLoadLog()
+    for event, losses, *fields in calls:
+        outcomes = []
+        for target in (log, ref):
+            try:
+                target.record(event, list(losses), *fields)
+                outcomes.append(None)
+            except DivergenceError as error:
+                assert error.log is target
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+        assert repr(log.rows) == repr(ref.rows)
+        assert len(log) == len(ref.rows)
+        assert [row.step for row in log.rows] == list(range(1, len(log) + 1))
+        for name in ("sgd", "line_search", "grid_search"):
+            assert log.count(name) == sum(row.event == name for row in ref.rows)
+        if outcomes[0] is not None:
+            assert not math.isfinite(log.rows[-1].train_loss)
+            break
+
+
+def test_euclidean_norm_is_np_linalg_norm_on_ordinary_vectors():
+    rng = np.random.default_rng(0)
+    vectors = [np.zeros(3), np.array([np.inf, 1.0]), np.array([np.nan, 1.0]),
+               *(rng.normal(size=size) * 10.0**exponent
+                 for size in (1, 2, 20, 451) for exponent in (-300, -150, -3, 0, 3, 150))]
+    for vector in vectors:
+        assert euclidean_norm(vector).hex() == float(np.linalg.norm(vector)).hex()
+
+
+def test_euclidean_norm_of_entries_past_1e154_is_finite_and_warns_of_nothing():
+    vector = np.full(20, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm = euclidean_norm(vector)
+        assert norm == 1e200 * euclidean_norm(vector / 1e200)
+        mixed = np.random.default_rng(1).normal(size=50) * 1e250
+        assert euclidean_norm(mixed) == pytest.approx(1e250 * np.linalg.norm(mixed / 1e250),
+                                                      rel=1e-15)
+
+
+def test_unit_step_moves_its_step_along_a_gradient_past_1e154():
+    class Steep:
+        def batch_loss_and_gradient(self, theta, batch):
+            return 1.0, np.array([3e200, -4e200])
+
+    state = OptimizerState(theta=np.zeros(2), momentum_buffer=np.zeros(2))
+    stream = BatchStream([0], np.random.default_rng(0))
+    _, theta = controller._unit_step(Steep(), stream, state.theta, 0.5, state, "grid_search")
+    np.testing.assert_allclose(theta, [-0.3, 0.4], rtol=1e-15)
+
+
 def test_run_aborts_on_divergence():
     class Exploding(OneDQuadratic):
         def batch_loss(self, theta, batch):
@@ -549,13 +635,22 @@ class WithoutRoundOracle:
     """Delegates to a problem but hides its batch_losses_along, so every
     line-search round falls back to the batch_loss loop."""
 
+    hidden = "batch_losses_along"
+
     def __init__(self, problem):
         self._problem = problem
 
     def __getattr__(self, name):
-        if name == "batch_losses_along":
+        if name == self.hidden:
             raise AttributeError(name)
         return getattr(self._problem, name)
+
+
+class WithoutFusedOracle(WithoutRoundOracle):
+    """Hides batch_loss_and_gradient instead, so every SGD step and grid
+    probe falls back to batch_loss, then batch_gradient."""
+
+    hidden = "batch_loss_and_gradient"
 
 
 @pytest.mark.parametrize("name", ["quadratic", "logistic-hard", "mlp"])
@@ -591,6 +686,10 @@ def test_run_is_bit_identical_with_numpy_polynomial_root_finding(monkeypatch, na
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, getattr(poly_reference, attr))
     ref_state, ref_log = one_run()
+    _assert_bit_identical_runs(state, log, ref_state, ref_log)
+
+
+def _assert_bit_identical_runs(state, log, ref_state, ref_log):
     assert any(search.valid for search in log.line_searches)
     # Row reprs and integer views compare every bit and keep a failure's
     # report short: the first differing row, the differing entries.
@@ -602,6 +701,32 @@ def test_run_is_bit_identical_with_numpy_polynomial_root_finding(monkeypatch, na
     for search, ref in zip(log.line_searches, ref_log.line_searches):
         coefficients = search.fit.polynomial.coefficients
         assert coefficients.tobytes() == ref.fit.polynomial.coefficients.tobytes()
+
+
+@pytest.mark.parametrize("name", ["quadratic", "logistic-hard", "mlp"])
+def test_run_is_bit_identical_with_the_per_call_paths(monkeypatch, name):
+    """np.quantile for the window's third quartile, a refit on a design of
+    its own, batch_loss then batch_gradient for each SGD load and
+    np.linalg.norm for each norm make the same run, bit for bit."""
+    make_problem, _ = PINNED_DECISIONS[name]
+
+    def one_run(wrap):
+        streams = rng_streams(0)
+        return run(wrap(make_problem(streams.data)), ElfConfig(), 2000, streams)
+
+    state, log = one_run(lambda problem: problem)
+    select = linesearch.select_degree_and_fit
+
+    def select_then_refit(samples, *args):
+        report = select(samples, *args)
+        return replace(report, polynomial=fit_polynomial(report.chosen_degree, samples))
+
+    monkeypatch.setattr(linesearch, "select_degree_and_fit", select_then_refit)
+    monkeypatch.setattr(linesearch, "third_quartile",
+                        lambda values: float(np.quantile(np.asarray(values, dtype=float), 0.75)))
+    monkeypatch.setattr(controller, "euclidean_norm", lambda vector: float(np.linalg.norm(vector)))
+    ref_state, ref_log = one_run(WithoutFusedOracle)
+    _assert_bit_identical_runs(state, log, ref_state, ref_log)
 
 
 def test_window_mean_is_np_mean_over_the_windows_losses(monkeypatch):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elfopt.linesearch import (
     LineSearchConfig,
@@ -112,6 +114,30 @@ def test_sample_counts_per_round():
 
 def test_quartile_convention():
     assert third_quartile(np.array([1.0, 2.0, 3.0, 4.0])) == 3.25
+
+
+_QUARTILE_VALUES = (
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan])
+    | st.floats(-1e6, 1e6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(values=st.lists(_QUARTILE_VALUES, min_size=1, max_size=500),
+       ties=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_third_quartile_is_np_quantile_bit_for_bit(values, ties, seed):
+    # Ties of 0.0 and -0.0 must land where np.quantile's partition puts
+    # them, and an overflowing interpolation must give what it gives.
+    rng = np.random.default_rng(seed)
+    values = np.array(values)
+    if ties:
+        values = rng.choice(values[: ties + 1], size=values.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.quantile(values, 0.75)
+    got = third_quartile(values)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == expected.tobytes()
 
 
 def test_interval_width_from_quartile_crossing():

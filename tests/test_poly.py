@@ -178,6 +178,27 @@ def test_real_roots_in_a_huge_bracket_whose_companion_matrix_overflows():
     np.testing.assert_allclose(np.ldexp(found, -scale_exponent), [0.25, 0.75], rtol=1e-12)
 
 
+@pytest.mark.parametrize("coef, bracket", [
+    ([1.0, 2.5e-251, 1.0, 6.5e-180], (0.0, 1.0)),
+    ([-0.0, -9.3e-56, -8.7e-211], (-1.07e155, 0.0)),
+], ids=["newton-step-to-4e250", "roots-near-1e155"])
+def test_newton_polish_past_the_float_range_returns_the_roots_without_a_warning(coef, bracket):
+    # The polish evaluates p at s**k: the first case's Newton step from its
+    # eigenvalue lands near -4e250, the second's root lies near 1e155, and
+    # both overflow there. numpy.polynomial's reference warns of it; the
+    # kernel must not, and must return what the reference does.
+    p = Polynomial(coef)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        roots = real_roots_in(p, bracket)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference.real_roots_in(p, bracket)
+    assert roots.tobytes() == expected.tobytes()
+    if coef[0] == 0.0:
+        # p(s) = -s (9.3e-56 + 8.7e-211 s): roots at 0 and -9.3e-56 / 8.7e-211.
+        np.testing.assert_allclose(roots, [-9.3e-56 / 8.7e-211, 0.0], rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # |p(s)| = target solves
 # ---------------------------------------------------------------------------

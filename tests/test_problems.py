@@ -1,6 +1,8 @@
 """Problem-suite oracles: analytic gradients vs finite differences, closed
 forms of the quadratic ensemble, cross-section diagnostics, batch streams."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,31 @@ def test_fused_loss_and_gradient_is_bit_identical_to_two_passes(make_problem, tw
             assert problem.batch_gradient(theta, batch).tobytes() == grad.tobytes()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_batches=st.integers(1, 12), dim=st.integers(1, 30),
+       scale=st.sampled_from([0.0, 1e-150, 1e-3, 1.0, 1e3, 1e100]))
+def test_quadratic_fused_oracle_is_bit_identical_to_its_two_oracles(seed, n_batches, dim, scale):
+    rng = np.random.default_rng(seed)
+    problem = NoisyQuadraticEnsemble(n_batches=n_batches, dim=dim, rng=rng)
+    theta = rng.normal(scale=scale, size=dim)
+    batch = int(rng.integers(n_batches))
+    loss, grad = problem.batch_loss_and_gradient(theta, batch)
+    assert type(loss) is float and loss.hex() == problem.batch_loss(theta, batch).hex()
+    assert grad.tobytes() == problem.batch_gradient(theta, batch).tobytes()
+
+
+@pytest.mark.parametrize("n_batches, dim, seed", [(1, 1, 0), (3, 2, 1), (12, 6, 2), (100, 20, 3)])
+def test_quadratic_matrices_equal_the_batch_by_batch_construction(n_batches, dim, seed):
+    problem = NoisyQuadraticEnsemble(n_batches=n_batches, dim=dim, rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    for matrix in problem.matrices:
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        eigs = rng.uniform(*NoisyQuadraticEnsemble.EIG_RANGE, size=dim)
+        assert matrix.tobytes() == (q @ np.diag(eigs) @ q.T).tobytes()
+    assert problem.centers.tobytes() == rng.normal(scale=0.15, size=(n_batches, dim)).tobytes()
+    assert problem.offsets.tobytes() == rng.uniform(0.0, 0.1, size=n_batches).tobytes()
+
+
 def test_sigmoid_matches_the_masked_formula_at_the_edges():
     rng = np.random.default_rng(43)
     z = np.concatenate([
@@ -204,8 +231,9 @@ def test_sigmoid_matches_the_masked_formula_at_the_edges():
 
 
 def test_loss_and_gradient_falls_back_to_the_two_oracles():
-    problem = NoisyQuadraticEnsemble(n_batches=12, dim=6, rng=np.random.default_rng(1))
-    assert not hasattr(problem, "batch_loss_and_gradient")
+    quadratic = NoisyQuadraticEnsemble(n_batches=12, dim=6, rng=np.random.default_rng(1))
+    problem = SimpleNamespace(batch_loss=quadratic.batch_loss,
+                              batch_gradient=quadratic.batch_gradient)
     theta = np.random.default_rng(7).normal(size=6)
     loss, grad = loss_and_gradient(problem, theta, 3)
     assert type(loss) is float and loss == problem.batch_loss(theta, 3)

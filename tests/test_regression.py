@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from elfopt.regression import (
     SampleSet,
+    _design,
+    _least_squares,
     _raw_coefficients,
     fit_polynomial,
     kfold_cv_error,
@@ -241,6 +243,35 @@ def test_chosen_degree_matches_rule_enumeration_oracle():
         oracle = _enumerate_stop_rule(positions, losses, 10, 5, seed)
         assert report.chosen_degree == oracle
         assert report.cv_test_errors.size >= report.chosen_degree + 1
+
+
+@pytest.mark.parametrize("n", [11, 60, 501])
+def test_refit_on_the_sweeps_design_is_fit_polynomials_bit_for_bit(n):
+    # np.vander's columns are running products, so the first d + 1 columns of
+    # the sweep's 11-column design are fit_polynomial's own design.
+    rng = np.random.default_rng(n)
+    positions = rng.uniform(0.0, 3.0, n)
+    losses = np.cos(2.0 * positions) + rng.normal(scale=0.1, size=n)
+    samples = SampleSet(positions, losses)
+    design, mid, half = _design(positions, 11)
+    for degree in range(11):
+        refit = _least_squares(design[:, : degree + 1], mid, half, losses)
+        want = fit_polynomial(degree, samples)
+        assert refit.coefficients.tobytes() == want.coefficients.tobytes()
+
+
+def test_selection_refits_its_chosen_degree_as_fit_polynomial_does():
+    rng = np.random.default_rng(5)
+    chosen = set()
+    for true_degree in range(9):
+        positions = rng.uniform(0.0, 2.0, 300)
+        losses = np.polynomial.polynomial.polyval(positions - 1.0, rng.normal(size=true_degree + 1))
+        samples = SampleSet(positions, losses + rng.normal(scale=1e-3, size=positions.size))
+        report = select_degree_and_fit(samples, 10, 5, rng)
+        want = fit_polynomial(report.chosen_degree, samples)
+        assert report.polynomial.coefficients.tobytes() == want.coefficients.tobytes()
+        chosen.add(report.chosen_degree)
+    assert len(chosen) > 5
 
 
 def test_exact_polynomials_pick_their_true_degree():
