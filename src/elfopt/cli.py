@@ -190,13 +190,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def write_training_log(path: Path, log: TrainingLog) -> None:
-    """One row per load; a segment's shared last three cells are formatted
-    once, into a string that format_value passes through."""
-    rows = []
-    for first, event, losses, *shared in log.segments:
-        tail = ",".join(map(format_value, shared))
-        rows.extend((step, event, loss, tail) for step, loss in enumerate(losses, start=first))
-    _write_csv(path, LogRow._fields, rows)
+    _write_csv(path, LogRow._fields, log.rows)
 
 
 def write_line_csvs(out_dir: Path, log: TrainingLog) -> None:

@@ -17,11 +17,9 @@ that uses it when present and falls back to the required ones otherwise:
   3-D measured slower than the loop on wide layers.
 - batch_loss_and_gradient(theta, batch) returns (loss, gradient) from one
   forward pass, for the loads that need both; the fallback is
-  (float(batch_loss), batch_gradient). All three problems define it.
-  LogisticBlobs and MlpBlobs derive batch_gradient from it;
-  NoisyQuadraticEnsemble, whose loss and gradient share only theta -
-  center, computes that difference once and each of the two as its own
-  method does.
+  (float(batch_loss), batch_gradient). All three problems define it and
+  derive batch_gradient from it; NoisyQuadraticEnsemble's loss and
+  gradient share only theta - center, which it computes once.
 """
 
 from __future__ import annotations
@@ -136,6 +134,7 @@ class NoisyQuadraticEnsemble:
 
     EIG_RANGE = (0.5, 1.5)        # spectrum of every batch matrix
     VALIDATION_FRACTION = 0.2     # share of the batches held out for validation
+    BLOCK_ENTRIES = 1 << 14       # matrix entries per block of the construction
 
     def __init__(
         self,
@@ -148,16 +147,20 @@ class NoisyQuadraticEnsemble:
     ):
         _check_sizes(n_batches=n_batches, dim=dim)
         self.dim = dim
-        # Each batch draws its normal(dim, dim), then its uniform(dim); one
-        # stacked QR and matmul then build every Q diag(eigs) Q', as
-        # q * eigs equals q @ np.diag(eigs) bit for bit.
-        normals = np.empty((n_batches, dim, dim))
+        # Each batch draws its normal(dim, dim), then its uniform(dim). Each
+        # Q diag(eigs) Q' then overwrites its normal draw, one stacked QR and
+        # matmul per block of batches, as q * eigs equals q @ np.diag(eigs)
+        # bit for bit; blocking keeps the QR's temporaries to a block's size.
+        self.matrices = np.empty((n_batches, dim, dim))
         eigs = np.empty((n_batches, dim))
         for i in range(n_batches):
-            normals[i] = rng.normal(size=(dim, dim))
+            self.matrices[i] = rng.normal(size=(dim, dim))
             eigs[i] = rng.uniform(*self.EIG_RANGE, size=dim)
-        q = np.linalg.qr(normals)[0]
-        self.matrices = np.matmul(q * eigs[:, None, :], q.transpose(0, 2, 1))
+        block = max(1, self.BLOCK_ENTRIES // dim**2)
+        for lo in range(0, n_batches, block):
+            rows = slice(lo, lo + block)
+            q = np.linalg.qr(self.matrices[rows])[0]
+            np.matmul(q * eigs[rows, None, :], q.transpose(0, 2, 1), out=self.matrices[rows])
         self.centers = rng.normal(scale=center_spread, size=(n_batches, dim))
         self.offsets = rng.uniform(*offset_range, size=n_batches)
 
@@ -171,11 +174,10 @@ class NoisyQuadraticEnsemble:
         return float(0.5 * d @ self.matrices[batch] @ d + self.offsets[batch])
 
     def batch_gradient(self, theta, batch: int) -> np.ndarray:
-        d = np.asarray(theta, dtype=float) - self.centers[batch]
-        return self.matrices[batch] @ d
+        return self.batch_loss_and_gradient(theta, batch)[1]
 
     def batch_loss_and_gradient(self, theta, batch: int) -> tuple[float, np.ndarray]:
-        # One theta - center for both, each then computed as its own method does.
+        # One theta - center for both; the loss is summed as batch_loss sums it.
         d = np.asarray(theta, dtype=float) - self.centers[batch]
         a = self.matrices[batch]
         return float(0.5 * d @ a @ d + self.offsets[batch]), a @ d

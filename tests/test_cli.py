@@ -213,7 +213,7 @@ def test_identical_configs_produce_byte_identical_artifacts(tmp_path):
 def test_writers_bytes_are_pinned_on_a_hand_built_log(tmp_path):
     log = TrainingLog()
     log.record("grid_search", [0.1], 1e-4)
-    log.record("line_search", [float(np.float64(2) / 3)], 1.0)
+    log.record("line_search", [np.float64(2) / 3], 1.0)
     log.record("sgd", [1e-300], 0.5, -0.0, 12345.678)
     fit = FitReport(Polynomial(np.array([1.0, -0.25, 1 / 3])), 2, np.array([1.0, 0.5, 0.25]))
     log.line_searches.append(LineSearchResult(

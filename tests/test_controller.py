@@ -400,8 +400,10 @@ def test_run_displacement_norm_equals_update_step():
             self.gradient_thetas = []
 
         def batch_gradient(self, theta, batch):
+            # the parent's batch_gradient calls the fused oracle, which
+            # would record theta a second time
             self.gradient_thetas.append(np.asarray(theta, dtype=float).copy())
-            return super().batch_gradient(theta, batch)
+            return super().batch_loss_and_gradient(theta, batch)[1]
 
         def batch_loss_and_gradient(self, theta, batch):
             self.gradient_thetas.append(np.asarray(theta, dtype=float).copy())

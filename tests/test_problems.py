@@ -202,10 +202,13 @@ def test_quadratic_fused_oracle_is_bit_identical_to_its_two_oracles(seed, n_batc
     batch = int(rng.integers(n_batches))
     loss, grad = problem.batch_loss_and_gradient(theta, batch)
     assert type(loss) is float and loss.hex() == problem.batch_loss(theta, batch).hex()
-    assert grad.tobytes() == problem.batch_gradient(theta, batch).tobytes()
+    want_grad = problem.matrices[batch] @ (theta - problem.centers[batch])
+    assert grad.tobytes() == want_grad.tobytes()
+    assert problem.batch_gradient(theta, batch).tobytes() == want_grad.tobytes()
 
 
-@pytest.mark.parametrize("n_batches, dim, seed", [(1, 1, 0), (3, 2, 1), (12, 6, 2), (100, 20, 3)])
+@pytest.mark.parametrize("n_batches, dim, seed", [(1, 1, 0), (3, 2, 1), (12, 6, 2), (100, 20, 3),
+                                                  (400, 20, 4), (3, 300, 5)])
 def test_quadratic_matrices_equal_the_batch_by_batch_construction(n_batches, dim, seed):
     problem = NoisyQuadraticEnsemble(n_batches=n_batches, dim=dim, rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
