@@ -3,7 +3,9 @@ divide-by-10 step-decay schedule, and Adam with bias correction."""
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,16 @@ class StepDecaySchedule:
         )
         return base_lr / self.divisor**passed
 
+    def learning_rates(self, base_lr: float, steps: int) -> Iterator[float]:
+        """learning_rate(base_lr, step) for each step in range(steps). The
+        rate changes only at a milestone's step, so it is looked up at step 0
+        and at those steps, and the same float is yielded until it changes."""
+        changes = {0, *(int(m * self.total_steps) for m in self.milestones)}
+        for step in range(steps):
+            if step in changes:
+                rate = self.learning_rate(base_lr, step)
+            yield rate
+
 
 @dataclass(frozen=True)
 class BaselineConfig:
@@ -65,6 +77,12 @@ class BaselineConfig:
             return self.learning_rate
         return self.schedule.learning_rate(self.learning_rate, steps_taken)
 
+    def rates(self, steps: int) -> Iterator[float]:
+        """lr_at(step) for each step in range(steps)."""
+        if self.schedule is None:
+            return itertools.repeat(self.learning_rate, steps)
+        return self.schedule.learning_rates(self.learning_rate, steps)
+
 
 @dataclass
 class SgdState:
@@ -90,20 +108,37 @@ def init_adam(theta: np.ndarray) -> AdamState:
     return AdamState(theta=theta, m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
+# The steps update the state's arrays in place, with the operations of
+#   velocity = momentum * velocity + gradient; theta = theta - lr * velocity
+# and of
+#   m = beta1 * m + (1 - beta1) * gradient
+#   v = beta2 * v + (1 - beta2) * gradient**2
+#   theta = theta - lr * m_hat / (sqrt(v_hat) + epsilon)
+# in the same order, so each element is rounded as these formulas round it.
+
 def sgd_step(state: SgdState, gradient: np.ndarray, lr: float, config: BaselineConfig) -> SgdState:
-    state.velocity = config.momentum * state.velocity + gradient
-    state.theta = state.theta - lr * state.velocity
+    state.velocity *= config.momentum
+    state.velocity += gradient
+    state.theta -= lr * state.velocity
     return state
 
 
 def adam_step(state: AdamState, gradient: np.ndarray, lr: float,
               config: BaselineConfig) -> AdamState:
     state.t += 1
-    state.m = config.beta1 * state.m + (1.0 - config.beta1) * gradient
-    state.v = config.beta2 * state.v + (1.0 - config.beta2) * gradient**2
-    m_hat = state.m / (1.0 - config.beta1**state.t)
-    v_hat = state.v / (1.0 - config.beta2**state.t)
-    state.theta = state.theta - lr * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    state.m *= config.beta1
+    state.m += (1.0 - config.beta1) * gradient
+    squared = gradient**2
+    squared *= 1.0 - config.beta2
+    state.v *= config.beta2
+    state.v += squared
+    step = state.m / (1.0 - config.beta1**state.t)
+    step *= lr
+    denominator = state.v / (1.0 - config.beta2**state.t)
+    np.sqrt(denominator, out=denominator)
+    denominator += config.epsilon
+    step /= denominator
+    state.theta -= step
     return state
 
 
@@ -116,8 +151,9 @@ def run_baseline(
 ) -> tuple[np.ndarray, TrainingLog]:
     """Train with a baseline optimizer; one batch load per step, measured
     with one loss_and_gradient call and recorded with TrainingLog.record
-    like the line-search optimizer's loads. Each step looks its scheduled
-    rate up once, and its row logs the rate the step applies."""
+    like the line-search optimizer's loads. Each step's row logs the rate
+    the step applies, config.lr_at(step). The returned theta is the run's
+    own array, not the problem's initial_theta output."""
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown baseline optimizer {optimizer!r}")
     if steps_to_train < 1:
@@ -128,9 +164,8 @@ def run_baseline(
 
     log = TrainingLog()
     train_stream = BatchStream(problem.train_batches, streams.train_order)
-    for step in range(steps_to_train):
+    for lr in config.rates(steps_to_train):
         loss, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
-        lr = config.lr_at(step)
         log.record("sgd", [loss], lr)
         step_fn(state, gradient, lr, config)
     return state.theta, log

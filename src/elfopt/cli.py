@@ -32,13 +32,15 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import operator
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import BaselineConfig, StepDecaySchedule, run_baseline
-from .controller import DivergenceError, ElfConfig, LogRow, TrainingLog, euclidean_norm, run
+from .controller import (DivergenceError, ElfConfig, LogRow, TrainingLog, euclidean_norm, run,
+                         unit_vector)
 from .linesearch import LineSearchConfig
 from .problems import LogisticBlobs, MlpBlobs, NoisyQuadraticEnsemble, cross_section_profile
 from .seeding import rng_streams
@@ -190,14 +192,31 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def write_training_log(path: Path, log: TrainingLog) -> None:
-    _write_csv(path, LogRow._fields, log.rows)
+    """Write what _write_csv writes for LogRow._fields and log.rows, one
+    segment at a time: a segment's update_step, expected and real cells are
+    formatted once, and the text is reused while the next segments hold the
+    same objects, so each row formats only its loss."""
+    lines = [",".join(LogRow._fields)]
+    shared = None
+    for segment in log.segments:
+        cells = (segment.update_step, segment.expected_improvement, segment.real_improvement)
+        if shared is None or not all(map(operator.is_, cells, shared)):
+            shared, tail = cells, ",".join(map(format_value, cells))
+        event = segment.event
+        for step, loss in enumerate(map(format_value, segment.losses), segment.first):
+            lines.append(f"{step},{event},{loss},{tail}")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_line_csvs(out_dir: Path, log: TrainingLog) -> None:
+    """One line_<i>.csv per line search, each row (round, s, loss) formatted
+    in one step, as _write_csv formats it."""
     for index, search in enumerate(log.line_searches):
-        _write_csv(out_dir / f"line_{index}.csv", ("round", "s", "loss"),
-                   zip(search.rounds.tolist(), search.samples.positions.tolist(),
-                       search.samples.losses.tolist()))
+        rows = zip(search.rounds.tolist(), search.samples.positions.tolist(),
+                   search.samples.losses.tolist())
+        lines = ["round,s,loss"]
+        lines.extend(f"{round_},{format_value(s)},{format_value(loss)}" for round_, s, loss in rows)
+        (out_dir / f"line_{index}.csv").write_text("\n".join(lines) + "\n")
 
 
 def write_fits_csv(path: Path, log: TrainingLog, max_degree: int) -> None:
@@ -279,10 +298,10 @@ def dump_cross_section(config: RunConfig) -> int:
         norm = euclidean_norm(gradient)
         if norm == 0.0:
             raise ConfigError("zero gradient at the initial parameters; use direction=random")
-        direction = -gradient / norm
+        direction = unit_vector(-gradient, norm)
     elif mode == "random":
         vector = streams.line_search.normal(size=theta0.size)
-        direction = vector / euclidean_norm(vector)
+        direction = unit_vector(vector, euclidean_norm(vector))
     else:
         raise ConfigError(f"unknown cross_section.direction {mode!r}")
 

@@ -85,14 +85,24 @@ class LogRow(NamedTuple):
 _DIVERGES = {"sgd": "training", "line_search": "line-search"}
 
 
+class Segment(NamedTuple):
+    """The loads of one TrainingLog.record call: consecutive steps from
+    first on, one per loss, sharing the event and the last three cells."""
+
+    first: int
+    event: str
+    losses: list[float]
+    update_step: float | None
+    expected_improvement: float | None
+    real_improvement: float | None
+
+
 class TrainingLog:
     """Every batch load of a run, and its line searches. record stores one
-    segment per call, (first step, event, losses, update_step, expected,
-    real), whose losses are the loads of consecutive steps; rows derives one
-    LogRow per load from the segments."""
+    Segment per call; rows derives one LogRow per load from the segments."""
 
     def __init__(self):
-        self.segments: list[tuple] = []
+        self.segments: list[Segment] = []
         self.line_searches: list[LineSearchResult] = []
         self._loads = 0
 
@@ -106,7 +116,7 @@ class TrainingLog:
                 for step, loss in enumerate(losses, start=first)]
 
     def count(self, event: str) -> int:
-        return sum(len(segment[2]) for segment in self.segments if segment[1] == event)
+        return sum(len(segment.losses) for segment in self.segments if segment.event == event)
 
     def record(self, event, losses: list[float], update_step=None, expected=None,
                real=None) -> None:
@@ -117,7 +127,7 @@ class TrainingLog:
         if diverged:
             losses = losses[: next(i for i, loss in enumerate(losses)
                                    if not math.isfinite(loss)) + 1]
-        self.segments.append((self._loads + 1, event, losses, update_step, expected, real))
+        self.segments.append(Segment(self._loads + 1, event, losses, update_step, expected, real))
         self._loads += len(losses)
         if diverged:
             raise DivergenceError(f"non-finite {_DIVERGES[event]} loss at step {self._loads}", self)
@@ -161,6 +171,16 @@ def euclidean_norm(vector: np.ndarray) -> float:
         scaled = np.divide(vector, scale)
         norm = scale * math.sqrt(np.vdot(scaled, scaled))
     return norm
+
+
+def unit_vector(vector: np.ndarray, norm: float) -> np.ndarray:
+    """vector / norm, where norm = euclidean_norm(vector) > 0. A finite vector
+    whose norm passes the float range (norm is inf) is divided by its largest
+    |entry| first, so the result still has unit norm instead of being zero."""
+    if norm == math.inf and np.isfinite(vector).all():
+        vector = vector / np.max(np.abs(vector))
+        norm = euclidean_norm(vector)
+    return vector / norm
 
 
 def trigger_terms(
@@ -268,7 +288,7 @@ def trigger_line_searches(
         norm = euclidean_norm(state.momentum_buffer)
         if norm == 0.0:
             continue
-        direction = -state.momentum_buffer / norm
+        direction = unit_vector(-state.momentum_buffer, norm)
         theta0 = state.theta.copy()
 
         def oracle(s: np.ndarray) -> np.ndarray:
@@ -399,4 +419,4 @@ def _unit_step(problem, stream, theta, step, state, event, expected=None, real=N
     loss, gradient = loss_and_gradient(problem, theta, state.current_batch)
     state.log.record(event, [loss], step, expected, real)
     norm = euclidean_norm(gradient)
-    return loss, theta - step * (gradient / norm) if norm > 0.0 else theta
+    return loss, theta - step * unit_vector(gradient, norm) if norm > 0.0 else theta

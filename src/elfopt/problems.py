@@ -37,24 +37,27 @@ class BatchStream:
             raise ValueError("batch collection is empty")
         self._batches = list(batches)
         self._rng = rng
-        self._order = rng.permutation(len(self._batches)).tolist()
+        self._order = self._shuffled()
         self._cursor = 0
+
+    def _shuffled(self) -> list:
+        """The batches in a fresh permutation's order: one epoch."""
+        return [self._batches[i] for i in self._rng.permutation(len(self._batches)).tolist()]
 
     def next_batch(self):
         return self.next_batches(1)[0]
 
     def next_batches(self, count: int) -> list:
         """The next count batches: what count next_batch() calls return, in
-        the same order and with the same epoch reshuffles."""
-        picked = []
+        the same order and with the same epoch reshuffles. A draw that fits
+        in the current epoch is one slice of it."""
+        picked = self._order[self._cursor:self._cursor + count]
+        self._cursor += len(picked)
         while len(picked) < count:
-            if self._cursor == len(self._order):
-                self._order = self._rng.permutation(len(self._batches)).tolist()
-                self._cursor = 0
-            end = min(len(self._order), self._cursor + count - len(picked))
-            picked += self._order[self._cursor:end]
-            self._cursor = end
-        return [self._batches[i] for i in picked]
+            self._order = self._shuffled()
+            self._cursor = min(count - len(picked), len(self._order))
+            picked += self._order[:self._cursor]
+        return picked
 
 
 def empirical_loss(problem, theta: np.ndarray) -> float:
@@ -237,9 +240,13 @@ def _check_blob_spread(separation, cluster_std):
 
 def _sigmoid(z):
     # e = exp(-|z|) <= 1 cannot overflow, and each branch is the stable form
-    # for its sign; min(z, -z) is -|z| that keeps a nan's sign bit.
-    e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # for its sign, 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, over
+    # one shared 1 + e; min(z, -z) is -|z| that keeps a nan's sign bit.
+    e = np.minimum(z, -z)
+    np.exp(e, out=e)
+    denominator = 1.0 + e
+    out = np.divide(e, denominator, out=e)
+    return np.divide(1.0, denominator, out=out, where=z >= 0.0)
 
 
 def _split_batches(x, y, batch_size):
@@ -256,14 +263,18 @@ def _split_batches(x, y, batch_size):
 
 class _Blobs:
     """Seeded Gaussian blobs around the class centers, labels drawn before
-    noise; subclasses define batch_loss_and_gradient and batch_accuracy."""
+    noise and stored in the batches as LABEL_DTYPE; subclasses define
+    batch_loss_and_gradient and batch_accuracy."""
+
+    LABEL_DTYPE = np.int64
 
     def __init__(self, n_train, n_val, centers, cluster_std, batch_size, rng):
         if n_train < 0 or n_val < 0:
             raise ValueError("n_train and n_val must be >= 0")
         n = n_train + n_val
-        labels = rng.integers(0, centers.shape[0], size=n)
-        x = centers[labels] + rng.normal(scale=cluster_std, size=(n, centers.shape[1]))
+        classes = rng.integers(0, centers.shape[0], size=n)
+        x = centers[classes] + rng.normal(scale=cluster_std, size=(n, centers.shape[1]))
+        labels = classes.astype(self.LABEL_DTYPE, copy=False)
         self.train_batches = _split_batches(x[:n_train], labels[:n_train], batch_size)
         self.validation_batches = _split_batches(x[n_train:], labels[n_train:], batch_size)
 
@@ -278,8 +289,12 @@ class LogisticBlobs(_Blobs):
     """Binary logistic regression on two seeded Gaussian clusters.
 
     theta packs [weights..., bias]; the loss is the mean cross entropy of the
-    batch under a sigmoid model.
+    batch under a sigmoid model. The 0/1 labels are stored as floats, the
+    dtype the loss and gradient multiply and subtract them in, so no call
+    casts them.
     """
+
+    LABEL_DTYPE = np.float64
 
     def __init__(
         self,
@@ -301,7 +316,9 @@ class LogisticBlobs(_Blobs):
 
     def _logits(self, theta, x):
         theta = np.asarray(theta, dtype=float)
-        return x @ theta[:-1] + theta[-1]
+        z = x @ theta[:-1]
+        z += theta[-1]
+        return z
 
     def batch_loss(self, theta, batch) -> float:
         x, y = batch
@@ -320,16 +337,18 @@ class LogisticBlobs(_Blobs):
         return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
 
     def batch_loss_and_gradient(self, theta, batch) -> tuple[float, np.ndarray]:
-        # One set of logits for both; a.sum() / a.size is np.mean's own
-        # arithmetic on a 1-D array, without its call overhead.
+        # One set of logits for both; np.add.reduce(a) / a.size is np.mean's
+        # own arithmetic on a 1-D array, without its call overhead.
         x, y = batch
         z = self._logits(theta, x)
-        per_sample = np.logaddexp(0.0, z) - y * z
-        residual = _sigmoid(z) - y
+        per_sample = np.logaddexp(0.0, z)
+        per_sample -= y * z
+        residual = _sigmoid(z)
+        residual -= y
         grad = np.empty(self.dim)
-        grad[:-1] = x.T @ residual / x.shape[0]
-        grad[-1] = residual.sum() / residual.size
-        return float(per_sample.sum() / per_sample.size), grad
+        np.divide(x.T @ residual, x.shape[0], out=grad[:-1])
+        grad[-1] = np.add.reduce(residual) / residual.size
+        return float(np.add.reduce(per_sample)) / per_sample.size, grad
 
     def initial_theta(self, rng: np.random.Generator) -> np.ndarray:
         return 0.01 * rng.normal(size=self.dim)

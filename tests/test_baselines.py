@@ -1,8 +1,12 @@
 """Baseline optimizer updates, the step-decay schedule, and reference
 cross-checks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elfopt.baselines import (
     AdamState,
@@ -16,7 +20,13 @@ from elfopt.baselines import (
     sgd_step,
 )
 from elfopt.controller import DivergenceError
-from elfopt.problems import BatchStream, NoisyQuadraticEnsemble, loss_and_gradient
+from elfopt.problems import (
+    BatchStream,
+    LogisticBlobs,
+    MlpBlobs,
+    NoisyQuadraticEnsemble,
+    loss_and_gradient,
+)
 from elfopt.seeding import rng_streams
 
 
@@ -186,3 +196,131 @@ def test_run_baseline_rejects_a_budget_below_one(steps):
     problem = NoisyQuadraticEnsemble(n_batches=10, dim=4, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="steps_to_train"):
         run_baseline(problem, "sgd", BaselineConfig(), steps, rng_streams(0))
+
+
+# ---------------------------------------------------------------------------
+# in-place steps against the out-of-place formulas
+# ---------------------------------------------------------------------------
+
+def _reference_sgd_step(state, gradient, lr, config):
+    """The out-of-place SGD update: new arrays for velocity and theta."""
+    state.velocity = config.momentum * state.velocity + gradient
+    state.theta = state.theta - lr * state.velocity
+    return state
+
+
+def _reference_adam_step(state, gradient, lr, config):
+    """The out-of-place Adam update: new arrays for m, v and theta."""
+    state.t += 1
+    state.m = config.beta1 * state.m + (1.0 - config.beta1) * gradient
+    state.v = config.beta2 * state.v + (1.0 - config.beta2) * gradient**2
+    m_hat = state.m / (1.0 - config.beta1**state.t)
+    v_hat = state.v / (1.0 - config.beta2**state.t)
+    state.theta = state.theta - lr * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    return state
+
+
+def _state_bytes(state):
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+            for name, value in vars(state).items()}
+
+
+_ENTRY = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e200, -1e200, 5e-324])
+_GRADIENT_ENTRY = _ENTRY | st.sampled_from([math.nan, math.inf])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(size=st.integers(1, 6), data=st.data(),
+       lr=st.sampled_from([1e-3, 0.01, 0.5, 1e-300]) | st.floats(1e-6, 10.0),
+       momentum=st.floats(0.0, 0.99), beta1=st.floats(0.0, 0.99),
+       beta2=st.floats(0.01, 0.9999), epsilon=st.sampled_from([1e-8, 1e-3, 1e-300]),
+       steps=st.integers(1, 4))
+def test_in_place_steps_equal_the_out_of_place_formulas(size, data, lr, momentum, beta1, beta2,
+                                                        epsilon, steps):
+    def vector(entries):
+        return np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
+
+    config = BaselineConfig(learning_rate=0.01, momentum=momentum, beta1=beta1, beta2=beta2,
+                            epsilon=epsilon)
+    theta = vector(_ENTRY)
+    sgd, sgd_ref = init_sgd(theta), init_sgd(theta)
+    adam, adam_ref = init_adam(theta), init_adam(theta)
+    # Nonzero moments, as after earlier steps; v stays >= 0 as Adam keeps it.
+    sgd.velocity[:] = sgd_ref.velocity[:] = vector(_ENTRY)
+    adam.m[:] = adam_ref.m[:] = vector(_ENTRY)
+    adam.v[:] = adam_ref.v[:] = np.abs(vector(_ENTRY))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            gradient = vector(_GRADIENT_ENTRY)
+            before = gradient.tobytes()
+            arrays = (sgd.theta, sgd.velocity, adam.theta, adam.m, adam.v)
+            assert sgd_step(sgd, gradient, lr, config) is sgd
+            assert adam_step(adam, gradient, lr, config) is adam
+            _reference_sgd_step(sgd_ref, gradient, lr, config)
+            _reference_adam_step(adam_ref, gradient, lr, config)
+            assert _state_bytes(sgd) == _state_bytes(sgd_ref)
+            assert _state_bytes(adam) == _state_bytes(adam_ref)
+            # Updated in place, and the gradient is left as it was.
+            assert all(new is old for new, old in zip(
+                (sgd.theta, sgd.velocity, adam.theta, adam.m, adam.v), arrays))
+            assert gradient.tobytes() == before
+
+
+def _reference_run(problem, optimizer, config, steps, streams):
+    """run_baseline as a plain loop over the out-of-place formulas, each
+    step's rate looked up with lr_at."""
+    init, step = ((init_sgd, _reference_sgd_step) if optimizer == "sgd"
+                  else (init_adam, _reference_adam_step))
+    state = init(problem.initial_theta(streams.theta_init))
+    train_stream = BatchStream(problem.train_batches, streams.train_order)
+    rows = []
+    for index in range(steps):
+        loss, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
+        rows.append((index + 1, "sgd", loss, config.lr_at(index), None, None))
+        step(state, gradient, config.lr_at(index), config)
+    return state.theta, rows
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda rng: NoisyQuadraticEnsemble(rng=rng),
+    lambda rng: LogisticBlobs(separation=1.0, cluster_std=1.0, rng=rng),
+    lambda rng: MlpBlobs(rng=rng),
+], ids=["quadratic", "logistic-hard", "mlp"])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_run_baseline_is_bit_identical_to_the_out_of_place_loop(make_problem, optimizer):
+    config = BaselineConfig(learning_rate=0.05 if optimizer == "sgd" else 0.005,
+                            schedule=StepDecaySchedule(total_steps=1000, milestones=(0.3, 0.6, 0.6)))
+    initial = []
+    problem = make_problem(rng_streams(4).data)
+    draw_theta = problem.initial_theta
+
+    def recorded_initial_theta(rng):
+        initial.append(draw_theta(rng))
+        return initial[-1]
+
+    problem.initial_theta = recorded_initial_theta
+    theta, log = run_baseline(problem, optimizer, config, 1000, rng_streams(4))
+    (theta0,) = initial
+    first = theta0.copy()
+    ref_theta, ref_rows = _reference_run(problem, optimizer, config, 1000, rng_streams(4))
+    assert theta.tobytes() == ref_theta.tobytes()
+    assert [repr(tuple(row)) for row in log.rows] == [repr(row) for row in ref_rows]
+    # The returned theta is the run's own array: the problem's initial_theta
+    # output is neither it nor changed by the run.
+    assert not np.shares_memory(theta, theta0)
+    assert theta0.tobytes() == first.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(total_steps=st.integers(0, 60), steps=st.integers(0, 80),
+       milestones=st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0),
+                           max_size=4),
+       divisor=st.sampled_from([10.0, 3.0, 0.5, 1e50]),
+       base_lr=st.sampled_from([0.01, 1.0, 1e-300]))
+def test_rates_are_lr_at_for_every_step(total_steps, steps, milestones, divisor, base_lr):
+    schedule = StepDecaySchedule(total_steps=total_steps, milestones=tuple(milestones),
+                                 divisor=divisor)
+    for config in (BaselineConfig(learning_rate=base_lr, schedule=schedule),
+                   BaselineConfig(learning_rate=base_lr)):
+        rates = list(config.rates(steps))
+        assert [rate.hex() for rate in rates] == [config.lr_at(step).hex() for step in range(steps)]

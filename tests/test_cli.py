@@ -1,8 +1,12 @@
 """Experiment runner: config round-trips, artifact schemas, determinism,
 error paths, and the cross-section dump."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elfopt import cli
 from elfopt.cli import (
@@ -20,7 +24,7 @@ from elfopt.cli import (
     write_line_csvs,
     write_training_log,
 )
-from elfopt.controller import TrainingLog
+from elfopt.controller import DivergenceError, LogRow, TrainingLog
 from elfopt.linesearch import LineSearchResult
 from elfopt.poly import Polynomial
 from elfopt.problems import empirical_loss
@@ -240,6 +244,87 @@ def test_writers_bytes_are_pinned_on_a_hand_built_log(tmp_path):
         "line_index,degree,c0,c1,c2,c3,c4\n"
         "0,2,1,-0.25,0.33333333333333331,,\n"
     )
+
+
+def _row_per_cell_csv(path, header, rows):
+    """The reference writer: every cell of every row through format_value."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(format_value, row)) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _assert_writers_match_the_row_per_cell_csv(out_dir, log):
+    """The writers' training_log.csv and line_<i>.csv bytes against the
+    reference writer's for the same log."""
+    reference = out_dir / "reference"
+    reference.mkdir(exist_ok=True)
+    write_training_log(out_dir / "training_log.csv", log)
+    _row_per_cell_csv(reference / "training_log.csv", LogRow._fields, log.rows)
+    write_line_csvs(out_dir, log)
+    for index, search in enumerate(log.line_searches):
+        _row_per_cell_csv(reference / f"line_{index}.csv", ("round", "s", "loss"),
+                          zip(search.rounds.tolist(), search.samples.positions.tolist(),
+                              search.samples.losses.tolist()))
+    assert len(list(out_dir.glob("line_*.csv"))) == len(log.line_searches)
+    for name in sorted(path.name for path in reference.iterdir()):
+        assert (out_dir / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+# The shared cells of a segment, (update_step, expected, real). The writer
+# reuses a cell's text only for the same object, so the rows of equal values
+# with other text (0.0 and -0.0, 1e17 and 10**17, 1 and True) must each keep
+# their own.
+_SHARED_CELLS = [(None, None, None), (0.0, None, None), (-0.0, None, None),
+                 (1e17, None, None), (10**17, None, None), (1, None, None), (True, None, None),
+                 (0.1, -0.0, 0.0), (0.1, 0.0, -0.0), (math.nan, math.inf, -math.inf),
+                 (1e308, 5e-324, -0.0), (np.float64(2) / 3, None, 12345.678)]
+_LOSS = st.floats() | st.sampled_from([-0.0, 1e308, 5e-324, -5e-324])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e308,
+                                                                             5e-324])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(calls=st.lists(st.tuples(
+           st.sampled_from(["sgd", "line_search", "grid_search"]),
+           st.sampled_from([0, 1, 1, 2, 100]).flatmap(
+               lambda size: st.lists(_LOSS, min_size=size, max_size=size)),
+           st.sampled_from(_SHARED_CELLS)),
+           max_size=15),
+       searches=st.lists(st.lists(st.tuples(st.integers(0, 9), _FINITE, _FINITE),
+                                  min_size=1, max_size=30), max_size=3))
+def test_writers_bytes_equal_the_row_per_cell_writer(tmp_path_factory, calls, searches):
+    log = TrainingLog()
+    for event, losses, cells in calls:
+        try:
+            log.record(event, losses, *cells)
+        except DivergenceError:
+            break     # the log ends on the first non-finite sgd or line_search loss
+    for rows in searches:
+        rounds, positions, losses = map(np.array, zip(*rows))
+        fit = FitReport(Polynomial(np.array([1.0])), 0, np.array([1.0]))
+        log.line_searches.append(LineSearchResult(None, fit, SampleSet(positions, losses), rounds))
+    _assert_writers_match_the_row_per_cell_csv(tmp_path_factory.mktemp("out"), log)
+
+
+@pytest.mark.parametrize("problem", ["quadratic", "logistic", "mlp"])
+@pytest.mark.parametrize("optimizer", ["elf", "sgd", "adam"])
+def test_cli_runs_write_the_row_per_cell_writers_bytes(tmp_path, monkeypatch, problem, optimizer):
+    logs = []
+    for name in ("run", "run_baseline"):
+        train = getattr(cli, name)
+
+        def capture(*args, train=train):
+            result = train(*args)
+            logs.append(result[1])
+            return result
+
+        monkeypatch.setattr(cli, name, capture)
+    out = tmp_path / "run"
+    assert main(["--problem", problem, "--optimizer", optimizer, "--steps", "700", "--seed", "2",
+                 "--out", str(out), "--quiet"]) == 0
+    (log,) = logs
+    assert len(log) >= 700 and (optimizer != "elf" or log.line_searches)
+    _assert_writers_match_the_row_per_cell_csv(out, log)
 
 
 def test_elf_run_emits_line_search_rows_and_fits(tmp_path):

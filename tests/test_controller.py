@@ -574,6 +574,37 @@ def test_unit_step_moves_its_step_along_a_gradient_past_1e154():
     np.testing.assert_allclose(theta, [-0.3, 0.4], rtol=1e-15)
 
 
+@pytest.mark.parametrize("gradient", [np.full(20, 1e308), np.array([1.7e308, -1.7e308, 1e300])])
+def test_unit_step_moves_its_step_along_a_gradient_whose_norm_passes_the_float_range(gradient):
+    # The norm is inf though every entry is finite; the parent divided by it
+    # and stood still.
+    class Steepest:
+        def batch_loss_and_gradient(self, theta, batch):
+            return 1.0, gradient.copy()
+
+    assert euclidean_norm(gradient) == math.inf
+    state = OptimizerState(theta=np.zeros(gradient.size), momentum_buffer=np.zeros(gradient.size))
+    stream = BatchStream([0], np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, theta = controller._unit_step(Steepest(), stream, state.theta, 0.5, state, "sgd")
+    scaled = gradient / np.max(np.abs(gradient))
+    assert theta.tobytes() == (-0.5 * (scaled / euclidean_norm(scaled))).tobytes()
+    assert euclidean_norm(theta) == pytest.approx(0.5, rel=1e-15)
+
+
+def test_unit_vector_is_the_plain_quotient_below_the_float_range():
+    rng = np.random.default_rng(5)
+    for vector in (rng.normal(size=20) * 10.0**exponent for exponent in (-150, -3, 0, 150, 300)):
+        norm = euclidean_norm(vector)
+        assert controller.unit_vector(vector, norm).tobytes() == (vector / norm).tobytes()
+    # An infinite entry keeps the plain quotient, nan where inf / inf.
+    vector = np.array([np.inf, 1.0])
+    with np.errstate(invalid="ignore"):
+        assert controller.unit_vector(vector, euclidean_norm(vector)).tobytes() == (
+            vector / np.inf).tobytes()
+
+
 def test_run_aborts_on_divergence():
     class Exploding(OneDQuadratic):
         def batch_loss(self, theta, batch):

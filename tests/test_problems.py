@@ -192,6 +192,30 @@ def test_fused_loss_and_gradient_is_bit_identical_to_two_passes(make_problem, tw
             assert problem.batch_gradient(theta, batch).tobytes() == grad.tobytes()
 
 
+def test_logistic_labels_are_the_drawn_classes_stored_as_floats():
+    problem = LogisticBlobs(n_train=200, n_val=50, batch_size=25, rng=np.random.default_rng(3))
+    classes = np.random.default_rng(3).integers(0, 2, size=250)
+    labels = np.concatenate([y for _, y in problem.train_batches + problem.validation_batches])
+    assert labels.dtype == np.float64 and labels.tolist() == classes.tolist()
+    mlp = MlpBlobs(n_train=200, n_val=50, batch_size=25, rng=np.random.default_rng(3))
+    assert all(y.dtype == np.int64 for _, y in mlp.train_batches)   # they index the logits
+
+    # Float labels give the bits integer labels gave, in every oracle.
+    rng = np.random.default_rng(44)
+    for scale in (0.0, 1.0, 30.0, 1e300):
+        theta = rng.normal(scale=scale, size=problem.dim)
+        for x, y in problem.train_batches[:3]:
+            as_ints = (x, y.astype(np.int64))
+            loss, grad = problem.batch_loss_and_gradient(theta, (x, y))
+            want_loss, want_grad = _logistic_loss_and_gradient(problem, theta, as_ints)
+            assert loss.hex() == want_loss.hex() and grad.tobytes() == want_grad.tobytes()
+            assert problem.batch_loss(theta, (x, y)).hex() == problem.batch_loss(theta, as_ints).hex()
+            s = np.array([0.0, 0.5, -2.0])
+            assert (problem.batch_losses_along(theta, theta, s, [(x, y)] * 3).tobytes()
+                    == problem.batch_losses_along(theta, theta, s, [as_ints] * 3).tobytes())
+            assert problem.batch_accuracy(theta, (x, y)) == problem.batch_accuracy(theta, as_ints)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n_batches=st.integers(1, 12), dim=st.integers(1, 30),
        scale=st.sampled_from([0.0, 1e-150, 1e-3, 1.0, 1e3, 1e100]))
