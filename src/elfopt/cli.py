@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import operator
 import sys
 from pathlib import Path
 
@@ -194,14 +193,11 @@ def _write_csv(path: Path, header, rows) -> None:
 def write_training_log(path: Path, log: TrainingLog) -> None:
     """Write what _write_csv writes for LogRow._fields and log.rows, one
     segment at a time: a segment's update_step, expected and real cells are
-    formatted once, and the text is reused while the next segments hold the
-    same objects, so each row formats only its loss."""
+    formatted once, so each row formats only its loss."""
     lines = [",".join(LogRow._fields)]
-    shared = None
     for segment in log.segments:
-        cells = (segment.update_step, segment.expected_improvement, segment.real_improvement)
-        if shared is None or not all(map(operator.is_, cells, shared)):
-            shared, tail = cells, ",".join(map(format_value, cells))
+        tail = ",".join(map(format_value, (segment.update_step, segment.expected_improvement,
+                                           segment.real_improvement)))
         event = segment.event
         for step, loss in enumerate(map(format_value, segment.losses), segment.first):
             lines.append(f"{step},{event},{loss},{tail}")

@@ -10,7 +10,7 @@ suggested step sizes, and training resumes with the new step.
 Step accounting is strict: every batch load (SGD step, line-search sample,
 grid-search probe) is written out where it happens as three statements: draw
 the batches from their stream, measure them with the problem's oracle, and
-call TrainingLog.record, which stores the call's losses as one segment and
+call TrainingLog.record, which stores the call's losses in a segment and
 numbers one row per load. Nothing else records a load, and the step counter
 state.t is the log's row count, len(log). A line search's
 round oracle draws one batch per step size and measures them all with one
@@ -86,8 +86,10 @@ _DIVERGES = {"sgd": "training", "line_search": "line-search"}
 
 
 class Segment(NamedTuple):
-    """The loads of one TrainingLog.record call: consecutive steps from
-    first on, one per loss, sharing the event and the last three cells."""
+    """Consecutive loads from step first on, one per loss, that
+    TrainingLog.record got with the same event and the same objects for the
+    last three cells: one call's, or a run of calls' such as a baseline's
+    steps at one rate."""
 
     first: int
     event: str
@@ -98,8 +100,8 @@ class Segment(NamedTuple):
 
 
 class TrainingLog:
-    """Every batch load of a run, and its line searches. record stores one
-    Segment per call; rows derives one LogRow per load from the segments."""
+    """Every batch load of a run, and its line searches. record stores the
+    loads as Segments; rows derives one LogRow per load from them."""
 
     def __init__(self):
         self.segments: list[Segment] = []
@@ -120,14 +122,23 @@ class TrainingLog:
 
     def record(self, event, losses: list[float], update_step=None, expected=None,
                real=None) -> None:
-        """Append one segment of losses (Python floats), numbered on from the
-        log's length; the first non-finite sgd or line_search loss raises
-        DivergenceError with the log ending on its row."""
+        """Record losses (Python floats), numbered on from the log's length;
+        the first non-finite sgd or line_search loss raises DivergenceError
+        with the log ending on its row. The losses extend the last segment
+        when it has this event and holds these very cell objects (compared
+        by identity, so 0.0 and -0.0, or two nan objects, stay apart), and
+        start a segment of their own, a copy of the list, otherwise."""
         diverged = event in _DIVERGES and not all(map(math.isfinite, losses))
         if diverged:
             losses = losses[: next(i for i, loss in enumerate(losses)
                                    if not math.isfinite(loss)) + 1]
-        self.segments.append(Segment(self._loads + 1, event, losses, update_step, expected, real))
+        last = self.segments[-1] if self.segments else None
+        if (last is not None and last.event == event and last.update_step is update_step
+                and last.expected_improvement is expected and last.real_improvement is real):
+            last.losses.extend(losses)
+        else:
+            self.segments.append(
+                Segment(self._loads + 1, event, list(losses), update_step, expected, real))
         self._loads += len(losses)
         if diverged:
             raise DivergenceError(f"non-finite {_DIVERGES[event]} loss at step {self._loads}", self)

@@ -18,6 +18,14 @@ import numpy as np
 # back as a conjugate pair or two reals about sqrt(machine epsilon) apart.
 ROOT_IMAG_TOL = 1e-6
 NEWTON_POLISH_STEPS = 2
+# A returned root must have |p| within this fraction of sum |c_k| B**k, p's
+# size on the bracket (B its largest |end|), the scale ROOT_IMAG_TOL is read
+# on too. A polished simple root lies a few machine epsilons from 0 on it,
+# and a double root that comes back as a near-real pair about
+# ROOT_IMAG_TOL**2 times a power of 2 in the degree. An eigenvalue lost to
+# rounding among coefficients of very different sizes lies further out: at
+# 1/2 for p(0) = 1 on [0, 1], p = 1 + 2.5e-251 s + s**2 + 6.5e-180 s**3.
+ROOT_VALUE_TOL = 1e-8
 # Two crossings whose anchor distances differ by less than this are a tie.
 TIE_TOL = 1e-8
 
@@ -79,8 +87,10 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
 
     Roots are the eigenvalues of p's companion matrix. The near-real ones in
     the bracket are polished by Newton steps on p, and a polished root
-    replaces its eigenvalue only where it shrinks |p|. A cluster of roots
-    within the tolerance (a multiple root) is returned once, as its smallest.
+    replaces its eigenvalue only where it shrinks |p|. A root whose |p| is
+    past ROOT_VALUE_TOL of p's size on the bracket is no root of p and is
+    dropped. A cluster of roots within the tolerance (a multiple root) is
+    returned once, as its smallest.
     Constant polynomials, the zero polynomial included, have no roots here.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -138,8 +148,17 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
         polished = [x - (v / d if d != 0.0 else 0.0) for x, v, d
                     in zip(polished, polished_values.tolist(), slopes.tolist())]
         polished_values, slopes = values_and_slopes(polished)
-    roots = np.where(np.abs(polished_values) < np.abs(values), polished, roots)
-    roots = sorted(root for root in roots.tolist() if lo <= root <= hi)
+    better = np.abs(polished_values) < np.abs(values)
+    roots = np.where(better, polished, roots).tolist()
+    residuals = np.abs(np.where(better, polished_values, values)).tolist()
+    # p's size on the bracket, by Horner's rule on Python floats, which
+    # overflow to inf without a warning. Only a finite misfit drops a root:
+    # an |p| that overflowed (inf or nan) is no evidence against it.
+    size, bound = 0.0, max(abs(lo), abs(hi))
+    for c in reversed(trimmed):
+        size = abs(c) + size * bound
+    roots = sorted(root for root, residual in zip(roots, residuals)
+                   if lo <= root <= hi and not ROOT_VALUE_TOL * size < residual < math.inf)
     distinct = [r for r, before in zip(roots, [-math.inf, *roots]) if r - before > tolerance]
     return np.ldexp(distinct, exponent) if exponent else np.array(distinct)
 

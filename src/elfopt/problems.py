@@ -173,8 +173,12 @@ class NoisyQuadraticEnsemble:
         self.validation_batches = indices[n_batches - n_val:] if n_batches > 1 else indices
 
     def batch_loss(self, theta, batch: int) -> float:
+        # (0.5 d).dot(A).dot(d) sums as 0.5 * d @ A @ d does, at less cost
+        # per call. At dim 1 ndarray.dot multiplies directly and may keep a
+        # -0.0 that np.matmul's sum from +0.0 does not; adding the offset,
+        # never -0.0, clears it, but the gradient A @ d keeps np.matmul.
         d = np.asarray(theta, dtype=float) - self.centers[batch]
-        return float(0.5 * d @ self.matrices[batch] @ d + self.offsets[batch])
+        return float((0.5 * d).dot(self.matrices[batch]).dot(d) + self.offsets[batch])
 
     def batch_gradient(self, theta, batch: int) -> np.ndarray:
         return self.batch_loss_and_gradient(theta, batch)[1]
@@ -183,7 +187,7 @@ class NoisyQuadraticEnsemble:
         # One theta - center for both; the loss is summed as batch_loss sums it.
         d = np.asarray(theta, dtype=float) - self.centers[batch]
         a = self.matrices[batch]
-        return float(0.5 * d @ a @ d + self.offsets[batch]), a @ d
+        return float((0.5 * d).dot(a).dot(d) + self.offsets[batch]), a @ d
 
     def batch_losses_along(self, theta0, direction, s, batches) -> np.ndarray:
         # Stacked matmuls in batch_loss's order, (0.5 d'A) d, so each loss
@@ -240,13 +244,15 @@ def _check_blob_spread(separation, cluster_std):
 
 def _sigmoid(z):
     # e = exp(-|z|) <= 1 cannot overflow, and each branch is the stable form
-    # for its sign, 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, over
-    # one shared 1 + e; min(z, -z) is -|z| that keeps a nan's sign bit.
+    # for its sign, 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere: one
+    # numerator picked per element over one shared 1 + e, so a single
+    # unmasked divide does both. min(z, -z) is -|z| that keeps a nan's sign
+    # bit.
     e = np.minimum(z, -z)
     np.exp(e, out=e)
-    denominator = 1.0 + e
-    out = np.divide(e, denominator, out=e)
-    return np.divide(1.0, denominator, out=out, where=z >= 0.0)
+    numerator = np.where(z >= 0.0, 1.0, e)
+    e += 1.0
+    return np.divide(numerator, e, out=numerator)
 
 
 def _split_batches(x, y, batch_size):
@@ -315,8 +321,11 @@ class LogisticBlobs(_Blobs):
         super().__init__(n_train, n_val, centers, cluster_std, batch_size, rng)
 
     def _logits(self, theta, x):
+        # x.dot(w) is x @ w at less cost per call; for a 1 x 1 x it may give
+        # -0.0 where x @ w gives 0.0, which no loss, gradient or accuracy
+        # tells apart.
         theta = np.asarray(theta, dtype=float)
-        z = x @ theta[:-1]
+        z = x.dot(theta[:-1])
         z += theta[-1]
         return z
 

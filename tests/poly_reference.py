@@ -1,9 +1,11 @@
 """numpy.polynomial-based reference for elfopt.poly, used only by tests.
 
 evaluate, derivative and real_roots_in call npoly.polyval, npoly.polyder and
-npoly.polyroots; closest_minimum_to_zero and solve_for_value_nearest read
-their answers off those with whole-array numpy operations. elfopt.poly must
-return the same bits as these on every input.
+npoly.polyroots; real_roots_in drops, as elfopt.poly does, an eigenvalue
+whose |p| is past ROOT_VALUE_TOL of p's size on the bracket, where
+npoly.polyroots alone would return it. closest_minimum_to_zero and
+solve_for_value_nearest read their answers off those with whole-array numpy
+operations. elfopt.poly must return the same bits as these on every input.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from elfopt.poly import NEWTON_POLISH_STEPS, ROOT_IMAG_TOL, TIE_TOL, Polynomial
+from elfopt.poly import NEWTON_POLISH_STEPS, ROOT_IMAG_TOL, ROOT_VALUE_TOL, TIE_TOL, Polynomial
 
 
 def evaluate(p: Polynomial, s):
@@ -57,8 +59,13 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
         step = np.divide(polished_values, slopes, out=np.zeros_like(slopes), where=slopes != 0.0)
         polished = polished - step
         polished_values, slopes = values_and_slopes(polished)
-    roots = np.where(np.abs(polished_values) < np.abs(values), polished, roots)
-    roots = np.unique(roots[(roots >= lo) & (roots <= hi)])
+    better = np.abs(polished_values) < np.abs(values)
+    roots = np.where(better, polished, roots)
+    residuals = np.abs(np.where(better, polished_values, values))
+    with np.errstate(over="ignore"):
+        limit = ROOT_VALUE_TOL * npoly.polyval(max(abs(lo), abs(hi)), np.abs(coef))
+    misfit = (residuals > limit) & (residuals < np.inf)
+    roots = np.unique(roots[(roots >= lo) & (roots <= hi) & ~misfit])
     return np.ldexp(roots[np.diff(roots, prepend=-np.inf) > tolerance], exponent)
 
 

@@ -324,3 +324,20 @@ def test_rates_are_lr_at_for_every_step(total_steps, steps, milestones, divisor,
                    BaselineConfig(learning_rate=base_lr)):
         rates = list(config.rates(steps))
         assert [rate.hex() for rate in rates] == [config.lr_at(step).hex() for step in range(steps)]
+
+
+@pytest.mark.parametrize("schedule", [True, False], ids=["step-decay", "constant"])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_a_baseline_log_holds_one_segment_per_rate(optimizer, schedule):
+    steps = 6000
+    config = BaselineConfig(learning_rate=0.05 if optimizer == "sgd" else 0.005,
+                            schedule=StepDecaySchedule(total_steps=steps) if schedule else None)
+    problem = LogisticBlobs(separation=1.0, cluster_std=1.0, rng=rng_streams(6).data)
+    _, log = run_baseline(problem, optimizer, config, steps, rng_streams(6))
+    _, ref_rows = _reference_run(problem, optimizer, config, steps, rng_streams(6))
+    assert [repr(tuple(row)) for row in log.rows] == [repr(row) for row in ref_rows]
+    firsts = [1, 3001, 4501] if schedule else [1]
+    assert [(segment.first, segment.update_step) for segment in log.segments] == [
+        (first, config.lr_at(first - 1)) for first in firsts]
+    assert [len(segment.losses) for segment in log.segments] == [
+        end - first for first, end in zip(firsts, [*firsts[1:], steps + 1])]

@@ -543,6 +543,60 @@ def test_segment_log_equals_a_row_per_load_log(calls):
             break
 
 
+# Shared-cell objects a run of record calls may pass: equal but distinct
+# floats, both zeros and two nans, each made at run time so no two are one
+# constant.
+_CELL_POOL = [None, float("0.1"), float("0.1"), float("0.0"), float("-0.0"),
+              float("nan"), float("nan"), float("1e308")]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(calls=st.lists(st.tuples(st.sampled_from(["sgd", "line_search", "grid_search"]),
+                                st.lists(_LOSS, max_size=4),
+                                st.tuples(*[st.integers(0, len(_CELL_POOL) - 1)] * 3)),
+                      max_size=20))
+def test_record_extends_a_segment_only_for_its_event_and_cell_objects(calls):
+    log, ref = TrainingLog(), RowPerLoadLog()
+    keys, given_lists = [], []
+    for event, losses, picks in calls:
+        cells = [_CELL_POOL[i] for i in picks]
+        given_lists.append((list(losses), losses))
+        try:
+            log.record(event, losses, *cells)
+        except DivergenceError:
+            with pytest.raises(DivergenceError):
+                ref.record(event, list(losses), *cells)
+            keys.append((event, *map(id, cells)))
+            break
+        ref.record(event, list(losses), *cells)
+        keys.append((event, *map(id, cells)))
+    assert repr(log.rows) == repr(ref.rows)
+    # A segment starts wherever the event or any cell's identity changes.
+    assert len(log.segments) == sum(key != before for key, before in zip(keys, [None, *keys]))
+    # No caller's list is a segment's, so extending a segment changes none.
+    for copy, original in given_lists:
+        assert repr(original) == repr(copy)
+        assert all(original is not segment.losses for segment in log.segments)
+
+
+def test_record_keeps_equal_but_distinct_cells_apart():
+    log = TrainingLog()
+    rate, same_value = float("0.1"), float("0.1")
+    zero, negative_zero = float("0.0"), float("-0.0")
+    first = [1.0]
+    log.record("sgd", first, rate)
+    for losses, cell in (([2.0, 3.0], rate), ([4.0], same_value), ([5.0], zero),
+                         ([6.0], negative_zero), ([7.0], negative_zero)):
+        log.record("sgd", losses, cell)
+    log.record("line_search", [8.0], negative_zero)
+    assert [(s.first, s.losses, s.update_step) for s in log.segments] == [
+        (1, [1.0, 2.0, 3.0], rate), (4, [4.0], same_value), (5, [5.0], zero),
+        (6, [6.0, 7.0], negative_zero), (8, [8.0], negative_zero)]
+    assert [s.update_step for s in log.segments[1:4]] == [rate, 0.0, 0.0]
+    assert math.copysign(1.0, log.rows[5].update_step) == -1.0
+    assert first == [1.0] and len(log) == 8 and log.count("sgd") == 7
+
+
 def test_euclidean_norm_is_np_linalg_norm_on_ordinary_vectors():
     rng = np.random.default_rng(0)
     vectors = [np.zeros(3), np.array([np.inf, 1.0]), np.array([np.nan, 1.0]),

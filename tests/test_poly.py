@@ -286,6 +286,22 @@ def test_derivative_matches_central_differences():
         assert abs(evaluate(dp, s) - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("coef, bracket", [
+    # Rounding at the 1e179 scale turns the pair +-i into eigenvalues 0, 0.
+    ([1.0, 2.5e-251, 1.0, 6.5e-180], (0.0, 1.0)),
+    # A tiny leading coefficient: numpy's eigenvalues put a root at 0,
+    # where p(0) = -1.83; the real one, near 1.09, is lost to rounding.
+    ([-1.8287524895878065, 0.15, -9.038750516890186, -0.6220019595646313,
+      5.090257364117816, 3.93056834205246, -8.720773804823638e-132], (0.0, 4.995288778091057)),
+])
+def test_an_eigenvalue_that_is_no_root_of_p_is_dropped(coef, bracket):
+    # Both eigenvalue sets hold an exact 0, where p(0) = c0 is far from 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigenvalues = npoly.polyroots(np.array(coef))
+    assert np.any((eigenvalues.real == 0.0) & (eigenvalues.imag == 0.0))
+    assert real_roots_in(Polynomial(coef), bracket).size == 0
+
+
 # ---------------------------------------------------------------------------
 # bit identity with numpy.polynomial
 # ---------------------------------------------------------------------------

@@ -244,6 +244,36 @@ def test_quadratic_matrices_equal_the_batch_by_batch_construction(n_batches, dim
     assert problem.offsets.tobytes() == rng.uniform(0.0, 0.1, size=n_batches).tobytes()
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_features=st.integers(1, 9),
+       batch_size=st.integers(1, 60), exponent=st.floats(-3.0, 3.0),
+       special=st.sampled_from([None, np.nan, np.inf, -np.inf]), at=st.integers(0, 9))
+def test_dot_oracles_are_bit_identical_to_the_matmul_formulas(seed, n_features, batch_size,
+                                                              exponent, special, at):
+    """The ndarray.dot and one-divide oracles against np.matmul, masked
+    sigmoid references, at thetas of scale 1e-3 to 1e3, some with a nan or
+    an infinite entry."""
+    rng = np.random.default_rng(seed)
+    logistic = LogisticBlobs(n_train=2 * batch_size, n_val=batch_size, n_features=n_features,
+                             separation=1.0, cluster_std=1.0, batch_size=batch_size, rng=rng)
+    quadratic = NoisyQuadraticEnsemble(n_batches=3, dim=n_features, rng=rng)
+    for problem, batch in ((logistic, logistic.train_batches[1]), (quadratic, 2)):
+        theta = rng.normal(scale=10.0**exponent, size=problem.dim)
+        if special is not None:
+            theta[at % problem.dim] = special
+        with np.errstate(invalid="ignore", over="ignore"):
+            loss, grad = problem.batch_loss_and_gradient(theta, batch)
+            alone = problem.batch_loss(theta, batch)
+            if problem is logistic:
+                want_loss, want_grad = _logistic_loss_and_gradient(problem, theta, batch)
+            else:
+                d = theta - quadratic.centers[batch]
+                a = quadratic.matrices[batch]
+                want_loss, want_grad = float(0.5 * d @ a @ d + quadratic.offsets[batch]), a @ d
+        assert loss.hex() == want_loss.hex() and alone.hex() == want_loss.hex()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_sigmoid_matches_the_masked_formula_at_the_edges():
     rng = np.random.default_rng(43)
     z = np.concatenate([
