@@ -12,9 +12,14 @@ that uses it when present and falls back to the required ones otherwise:
 - batch_losses_along(theta0, direction, s, batches) measures many (step size,
   batch) pairs on one line in one call; the fallback is a loop over
   batch_loss. All three problems define it. The quadratic and logistic ones
-  stack every load; MlpBlobs runs its hidden layers per load in reused
-  buffers and stacks only the softmax head, as weights stacked per load in
-  3-D measured slower than the loop on wide layers.
+  stack every load; MlpBlobs runs its hidden layers per load and stacks only
+  the softmax head, as weights stacked per load in 3-D measured slower than
+  the loop on wide layers. A wide MlpBlobs splits a round's loads into one
+  contiguous chunk per usable CPU when BLAS is pinned to one thread (see
+  _round_workers): the caller runs the first chunk and a thread started for
+  the call runs each other one, each with a parameter buffer and
+  activations of its own, writing its own rows of the round's logits. Each
+  load's arithmetic is the same in any thread, so every loss keeps its bits.
 - batch_loss_and_gradient(theta, batch) returns (loss, gradient) from one
   forward pass, for the loads that need both; the fallback is
   (float(batch_loss), batch_gradient). All three problems define it and
@@ -24,6 +29,8 @@ that uses it when present and falls back to the required ones otherwise:
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +249,73 @@ def _check_blob_spread(separation, cluster_std):
         raise ValueError("cluster_std must lie in [0, inf)")
 
 
+def _blas_pinned() -> bool:
+    """Whether the environment pins OpenBLAS to one thread. OpenBLAS reads
+    OPENBLAS_NUM_THREADS, then GOTO_NUM_THREADS, then OMP_NUM_THREADS, and
+    skips a variable that is unset or not a positive count; with none set it
+    starts a thread per CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            count = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return count == 1
+    return False
+
+
+# Read once, as BLAS reads the variables when it loads.
+_BLAS_PINNED = _blas_pinned()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _round_workers(width: int) -> int:
+    """How many threads a round of MlpBlobs loads runs on, for a network
+    whose hidden1 * hidden2 is width: every usable CPU when BLAS is pinned
+    to one thread and width reaches MlpBlobs.PARALLEL_WIDTH, else one. An
+    unpinned BLAS already threads each product, and more threads on top of
+    it measured slower."""
+    if not _BLAS_PINNED or width < MlpBlobs.PARALLEL_WIDTH:
+        return 1
+    return _usable_cpus()
+
+
+def _in_threads(work, chunks) -> None:
+    """Call work(lo, hi) for every (lo, hi) in chunks: the first in the
+    caller, each other in a thread of its own under the caller's
+    floating-point error handling. Returns, or raises the exception of the
+    first chunk that raised, only after every thread has joined."""
+    errors = [None] * len(chunks)
+    handling = dict(np.geterr(), call=np.geterrcall())
+
+    def run(i):
+        try:
+            with np.errstate(**handling):
+                work(*chunks[i])
+        except BaseException as error:      # re-raised in the caller
+            errors[i] = error
+
+    started = []
+    try:
+        for i in range(1, len(chunks)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+        work(*chunks[0])
+    finally:
+        for thread in started:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def _sigmoid(z):
     # e = exp(-|z|) <= 1 cannot overflow, and each branch is the stable form
     # for its sign, 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere: one
@@ -371,6 +445,11 @@ class MlpBlobs(_Blobs):
     """Two-hidden-layer tanh network with softmax cross entropy on seeded
     Gaussian blobs; gradients come from analytic backprop."""
 
+    # hidden1 * hidden2 from which a round's loads run on every usable CPU.
+    # Below it a load is bound by numpy's per-call overhead, which holds the
+    # GIL, and threads measured no faster than one core (CHANGES.md).
+    PARALLEL_WIDTH = 160 * 160
+
     def __init__(
         self,
         n_train: int = 2000,
@@ -394,6 +473,7 @@ class MlpBlobs(_Blobs):
         super().__init__(n_train, n_val, centers, cluster_std, batch_size, rng)
 
         self.n_classes = n_classes
+        self._width = hidden1 * hidden2
         # (offset, size, shape) of each weight and bias inside theta.
         self._layout = []
         self.dim = 0
@@ -449,21 +529,36 @@ class MlpBlobs(_Blobs):
         return float(self._cross_entropy(logits, y)[0])
 
     def batch_losses_along(self, theta0, direction, s, batches) -> np.ndarray:
-        # Per load, one reused parameter buffer holds theta0 + step *
-        # direction, rounded as the batch_loss loop rounds it, and the trunk
-        # writes into reused activations; only the head runs stacked.
-        # Weights stacked per load in 3-D measured slower than the loop.
+        # The trunk runs per load, in one contiguous chunk of loads per
+        # worker (_round_workers); each worker has its own parameter buffer
+        # and activations and writes its own rows of logits. Only the head
+        # runs stacked, once, here. Weights stacked per load in 3-D measured
+        # slower than the loop.
         if not batches:
             return np.empty(0)
+        logits = np.empty((len(batches), batches[0][0].shape[0], self.n_classes))
+        steps = s.tolist()
+        chunks = min(_round_workers(self._width), len(batches))
+        if chunks == 1:
+            self._trunk_logits(theta0, direction, steps, batches, logits)
+        else:
+            bounds = [len(batches) * i // chunks for i in range(chunks + 1)]
+            _in_threads(lambda lo, hi: self._trunk_logits(
+                theta0, direction, steps[lo:hi], batches[lo:hi], logits[lo:hi]),
+                list(zip(bounds, bounds[1:])))
+        return self._cross_entropy(logits, np.stack([y for _, y in batches]))[0]
+
+    def _trunk_logits(self, theta0, direction, steps, batches, logits):
+        """Write into logits[i] the logits of batches[i] at theta0 + steps[i]
+        * direction, rounded as the batch_loss loop rounds it, reusing one
+        parameter buffer and one set of activations across the loads."""
         theta = np.empty(self.dim)
         params = self._unpack(theta)
-        logits = np.empty((len(batches), batches[0][0].shape[0], self.n_classes))
         h1 = h2 = None
-        for step, (x, _), out in zip(s.tolist(), batches, logits):
+        for step, (x, _), out in zip(steps, batches, logits):
             np.multiply(step, direction, out=theta)
             np.add(theta0, theta, out=theta)
             h1, h2, _ = self._trunk(params, x, h1, h2, out)
-        return self._cross_entropy(logits, np.stack([y for _, y in batches]))[0]
 
     def batch_loss_and_gradient(self, theta, batch) -> tuple[float, np.ndarray]:
         # One forward pass; backprop writes each layer's gradient straight

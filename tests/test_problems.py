@@ -1,6 +1,8 @@
 """Problem-suite oracles: analytic gradients vs finite differences, closed
 forms of the quadratic ensemble, cross-section diagnostics, batch streams."""
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elfopt import problems, rng_streams, run
+from elfopt.controller import ElfConfig
 from elfopt.problems import (
     BatchStream,
     LogisticBlobs,
@@ -81,14 +85,28 @@ def test_batch_losses_along_matches_the_batch_loss_loop(index):
         batch_losses_along(problem, theta0, d, s, batches[:-1])
 
 
+def _wide_mlp():
+    """An MlpBlobs whose rounds run on every usable CPU when BLAS is pinned."""
+    problem = MlpBlobs(n_train=400, n_val=100, hidden1=160, hidden2=170, n_classes=4,
+                       rng=np.random.default_rng(6))
+    assert 160 * 170 >= MlpBlobs.PARALLEL_WIDTH
+    return problem
+
+
+def _force_round_workers(monkeypatch, workers):
+    monkeypatch.setattr(problems, "_round_workers", lambda width: workers)
+
+
 @pytest.mark.parametrize("make_problem", [
     lambda: MlpBlobs(n_train=300, n_val=100, batch_size=25, hidden1=8, hidden2=6,
                      rng=np.random.default_rng(3)),
     lambda: MlpBlobs(n_train=400, n_val=100, hidden1=64, hidden2=48, n_classes=4,
                      rng=np.random.default_rng(5)),
-], ids=["mlp", "mlp-wide"])
-def test_mlp_round_oracle_is_bit_identical_to_the_batch_loss_loop(make_problem):
+    _wide_mlp,
+], ids=["mlp", "mlp-wide", "mlp-above-threshold"])
+def test_mlp_round_oracle_is_bit_identical_to_the_batch_loss_loop(make_problem, monkeypatch):
     problem = make_problem()
+    threads = threading.active_count()
     assert hasattr(problem, "batch_losses_along")
     rng = np.random.default_rng(37)
     theta0 = problem.initial_theta(rng) + rng.normal(scale=0.3, size=problem.dim)
@@ -104,9 +122,159 @@ def test_mlp_round_oracle_is_bit_identical_to_the_batch_loss_loop(make_problem):
     looped = np.array([problem.batch_loss(theta0 + step * d, batch)
                        for step, batch in zip(s.tolist(), batches)])
     assert np.all(np.isfinite(looped)) and looped[4:7].min() > 1e190
-    for count in (s.size, 1, 0):   # a full round, a one-load round, an empty round
-        along = problem.batch_losses_along(theta0, d, s[:count], batches[:count])
-        assert along.shape == (count,) and along.tobytes() == looped[:count].tobytes()
+    # A full round of 37 loads splits unevenly into 2 or 3 chunks; a round
+    # with fewer loads than workers runs one load per chunk.
+    for workers in (1, 2, 3):
+        _force_round_workers(monkeypatch, workers)
+        for count in (s.size, 2, 1, 0):
+            along = problem.batch_losses_along(theta0, d, s[:count], batches[:count])
+            assert along.shape == (count,) and along.tobytes() == looped[:count].tobytes()
+        assert threading.active_count() == threads
+
+
+def test_rounds_on_more_workers_than_cpus_keep_every_loss(monkeypatch):
+    # Eight workers switching every microsecond: a buffer shared between
+    # workers, or a row written by the wrong one, would change a loss.
+    problem = _wide_mlp()
+    _force_round_workers(monkeypatch, 8)
+    threads = threading.active_count()
+    rng = np.random.default_rng(47)
+    theta0 = problem.initial_theta(rng)
+    d = rng.normal(size=problem.dim)
+    d /= np.linalg.norm(d)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            s = rng.uniform(-2.0, 2.0, 29)
+            batches = [problem.train_batches[i]
+                       for i in rng.integers(len(problem.train_batches), size=s.size)]
+            looped = np.array([problem.batch_loss(theta0 + step * d, batch)
+                               for step, batch in zip(s.tolist(), batches)])
+            along = problem.batch_losses_along(theta0, d, s, batches)
+            assert along.tobytes() == looped.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+def _round_with(problem, bad_load, bad_step=None, bad_batch=None):
+    """Ten loads on one line; load bad_load takes bad_step or bad_batch. The
+    direction is not normalized, so a step of 1e308 overflows theta."""
+    rng = np.random.default_rng(43)
+    theta0 = problem.initial_theta(rng)
+    d = rng.normal(size=problem.dim)
+    s = rng.uniform(-1e-2, 1e-2, 10)
+    batches = [problem.train_batches[i] for i in rng.integers(len(problem.train_batches), size=10)]
+    if bad_step is not None:
+        s[bad_load] = bad_step
+    if bad_batch is not None:
+        batches[bad_load] = bad_batch
+    return theta0, d, s, batches
+
+
+# Two workers split ten loads into 0-4, which the caller runs, and 5-9.
+@pytest.mark.parametrize("bad_load", [2, 7], ids=["caller", "worker"])
+def test_a_parallel_round_keeps_the_callers_error_handling(bad_load, monkeypatch):
+    problem = _wide_mlp()
+    _force_round_workers(monkeypatch, 2)
+    threads = threading.active_count()
+    theta0, d, s, batches = _round_with(problem, bad_load, bad_step=1e308)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        problem.batch_losses_along(theta0, d, s, batches)
+    assert threading.active_count() == threads
+    # Ignored, the same overflow neither raises nor warns (pytest turns a
+    # RuntimeWarning into an error), and the round equals the loop.
+    with np.errstate(all="ignore"):
+        along = problem.batch_losses_along(theta0, d, s, batches)
+        looped = np.array([problem.batch_loss(theta0 + step * d, batch)
+                           for step, batch in zip(s.tolist(), batches)])
+    assert not np.isfinite(along[bad_load]) and along.tobytes() == looped.tobytes()
+    assert threading.active_count() == threads
+
+
+def test_a_parallel_round_re_raises_a_workers_exception(monkeypatch):
+    problem = _wide_mlp()
+    _force_round_workers(monkeypatch, 2)
+    threads = threading.active_count()
+    raised_in = []
+
+    class OracleError(Exception):
+        pass
+
+    def failing_trunk(params, x, *buffers):
+        if x is bad_x:
+            raised_in.append(threading.get_ident())
+            raise OracleError
+        return MlpBlobs._trunk(params, x, *buffers)
+
+    bad_x, bad_y = problem.train_batches[0]
+    bad_x = bad_x.copy()
+    theta0, d, s, batches = _round_with(problem, 7, bad_batch=(bad_x, bad_y))
+    monkeypatch.setattr(problem, "_trunk", failing_trunk)
+    with pytest.raises(OracleError):
+        problem.batch_losses_along(theta0, d, s, batches)
+    assert raised_in and raised_in[0] != threading.get_ident()
+    assert threading.active_count() == threads
+    # When two chunks fail, the first one's error is raised: the one the
+    # batch_loss loop meets first. Three workers split ten loads into 0-2,
+    # 3-5 and 6-9.
+    monkeypatch.undo()
+    for workers, bad_loads in [(2, (2, 7)), (3, (4, 8)), (3, (1, 8))]:
+        _force_round_workers(monkeypatch, workers)
+        round_batches = list(batches)
+        for load, features in zip(bad_loads, (3, 5)):
+            round_batches[load] = (np.ones((50, features)), bad_y)
+        with pytest.raises(ValueError) as looped:
+            [problem.batch_loss(theta0 + step * d, batch) for step, batch in zip(s, round_batches)]
+        with pytest.raises(ValueError) as along:
+            problem.batch_losses_along(theta0, d, s, round_batches)
+        assert str(along.value) == str(looped.value)
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("environment, pinned", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "4"}, False),
+])
+def test_blas_counts_as_pinned_in_openblas_order(environment, pinned, monkeypatch):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
+    assert problems._blas_pinned() is pinned
+
+
+@pytest.mark.parametrize("pinned, cpus, width, workers", [
+    (True, 2, MlpBlobs.PARALLEL_WIDTH, 2),
+    (True, 3, 256 * 256, 3),
+    (True, 2, MlpBlobs.PARALLEL_WIDTH - 1, 1),
+    (True, 1, 256 * 256, 1),
+    (False, 2, 256 * 256, 1),
+])
+def test_a_round_runs_on_every_usable_cpu_only_when_pinned_and_wide(pinned, cpus, width,
+                                                                    workers, monkeypatch):
+    monkeypatch.setattr(problems, "_BLAS_PINNED", pinned)
+    monkeypatch.setattr(problems, "_usable_cpus", lambda: cpus)
+    assert problems._round_workers(width) == workers
+
+
+def test_a_wide_mlp_run_is_bit_identical_on_one_or_two_round_workers(monkeypatch):
+    logs = []
+    for workers in (1, 2):
+        _force_round_workers(monkeypatch, workers)
+        streams = rng_streams(11)
+        state, log = run(MlpBlobs(n_train=400, n_val=100, hidden1=160, hidden2=160,
+                                  rng=streams.data), ElfConfig(), 400, streams)
+        assert log.count("line_search") >= 200
+        logs.append((state.theta.tobytes(), repr(log.rows)))
+    assert logs[0] == logs[1]
 
 
 # ---------------------------------------------------------------------------
