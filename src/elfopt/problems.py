@@ -15,11 +15,12 @@ that uses it when present and falls back to the required ones otherwise:
   stack every load; MlpBlobs runs its hidden layers per load and stacks only
   the softmax head, as weights stacked per load in 3-D measured slower than
   the loop on wide layers. A wide MlpBlobs splits a round's loads into one
-  contiguous chunk per usable CPU when BLAS is pinned to one thread (see
-  _round_workers): the caller runs the first chunk and a thread started for
-  the call runs each other one, each with a parameter buffer and
-  activations of its own, writing its own rows of the round's logits. Each
-  load's arithmetic is the same in any thread, so every loss keeps its bits.
+  contiguous chunk per usable CPU, up to two, when BLAS is pinned to one
+  thread (see _round_workers): the caller runs the first chunk and a thread
+  started for the call runs each other one, each with a parameter buffer
+  and activations of its own, writing its own rows of the round's logits.
+  Each load's arithmetic is the same in any thread, so every loss keeps its
+  bits.
 - batch_loss_and_gradient(theta, batch) returns (loss, gradient) from one
   forward pass, for the loads that need both; the fallback is
   (float(batch_loss), batch_gradient). All three problems define it and
@@ -264,7 +265,10 @@ def _blas_pinned() -> bool:
     return False
 
 
-# Read once, as BLAS reads the variables when it loads.
+# A guess from the environment as elfopt's import finds it, which may not be
+# what the loaded BLAS obeys: a variable set after numpy's import, a
+# threadpoolctl limit or an MKL_NUM_THREADS apart from OMP_NUM_THREADS goes
+# unseen. It only picks the faster path for a round; no loss changes with it.
 _BLAS_PINNED = _blas_pinned()
 
 
@@ -277,20 +281,21 @@ def _usable_cpus() -> int:
 
 def _round_workers(width: int) -> int:
     """How many threads a round of MlpBlobs loads runs on, for a network
-    whose hidden1 * hidden2 is width: every usable CPU when BLAS is pinned
-    to one thread and width reaches MlpBlobs.PARALLEL_WIDTH, else one. An
-    unpinned BLAS already threads each product, and more threads on top of
-    it measured slower."""
+    whose hidden1 * hidden2 is width: every usable CPU, up to
+    MlpBlobs.ROUND_WORKERS, when BLAS is pinned to one thread and width
+    reaches MlpBlobs.PARALLEL_WIDTH, else one. An unpinned BLAS already
+    threads each product, and more threads on top of it measured slower."""
     if not _BLAS_PINNED or width < MlpBlobs.PARALLEL_WIDTH:
         return 1
-    return _usable_cpus()
+    return min(_usable_cpus(), MlpBlobs.ROUND_WORKERS)
 
 
 def _in_threads(work, chunks) -> None:
     """Call work(lo, hi) for every (lo, hi) in chunks: the first in the
     caller, each other in a thread of its own under the caller's
-    floating-point error handling. Returns, or raises the exception of the
-    first chunk that raised, only after every thread has joined."""
+    floating-point error handling; one chunk starts no thread. Returns, or
+    raises the exception of the first chunk that raised, only after every
+    thread has joined."""
     errors = [None] * len(chunks)
     handling = dict(np.geterr(), call=np.geterrcall())
 
@@ -445,10 +450,14 @@ class MlpBlobs(_Blobs):
     """Two-hidden-layer tanh network with softmax cross entropy on seeded
     Gaussian blobs; gradients come from analytic backprop."""
 
-    # hidden1 * hidden2 from which a round's loads run on every usable CPU.
+    # hidden1 * hidden2 from which a round's loads run on more than one CPU.
     # Below it a load is bound by numpy's per-call overhead, which holds the
     # GIL, and threads measured no faster than one core (CHANGES.md).
     PARALLEL_WIDTH = 160 * 160
+    # The most threads a round runs on. The threshold above and a round's
+    # gain (README) were measured on 2 CPUs; how a round scales past them is
+    # unmeasured.
+    ROUND_WORKERS = 2
 
     def __init__(
         self,
@@ -539,13 +548,10 @@ class MlpBlobs(_Blobs):
         logits = np.empty((len(batches), batches[0][0].shape[0], self.n_classes))
         steps = s.tolist()
         chunks = min(_round_workers(self._width), len(batches))
-        if chunks == 1:
-            self._trunk_logits(theta0, direction, steps, batches, logits)
-        else:
-            bounds = [len(batches) * i // chunks for i in range(chunks + 1)]
-            _in_threads(lambda lo, hi: self._trunk_logits(
-                theta0, direction, steps[lo:hi], batches[lo:hi], logits[lo:hi]),
-                list(zip(bounds, bounds[1:])))
+        bounds = [len(batches) * i // chunks for i in range(chunks + 1)]
+        _in_threads(lambda lo, hi: self._trunk_logits(
+            theta0, direction, steps[lo:hi], batches[lo:hi], logits[lo:hi]),
+            list(zip(bounds, bounds[1:])))
         return self._cross_entropy(logits, np.stack([y for _, y in batches]))[0]
 
     def _trunk_logits(self, theta0, direction, steps, batches, logits):
