@@ -33,8 +33,7 @@ for optimizer, grid in (("sgd", (1e-1, 1e-2, 1e-3, 1e-4)),
     for lr in grid:
         s = rng_streams(0)
         p = LogisticBlobs(rng=s.data)
-        config = BaselineConfig(learning_rate=lr, momentum=0.9,
-                                schedule=StepDecaySchedule(total_steps=consumed))
+        config = BaselineConfig(learning_rate=lr, momentum=0.9, schedule=StepDecaySchedule())
         theta, _ = run_baseline(p, optimizer, config, consumed, s)
         rows.append((f"{optimizer} lr={lr:g}", empirical_loss(p, theta),
                      p.training_accuracy(theta), ""))

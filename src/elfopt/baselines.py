@@ -18,9 +18,8 @@ from .seeding import RngStreams
 @dataclass(frozen=True)
 class StepDecaySchedule:
     """Divides the learning rate by `divisor` once each milestone fraction of
-    the total budget has been completed."""
+    the run's budget has been completed."""
 
-    total_steps: int
     milestones: tuple[float, ...] = (0.5, 0.75)
     divisor: float = 10.0
 
@@ -34,20 +33,19 @@ class StepDecaySchedule:
             if not 0.0 < np.float64(self.divisor) ** len(self.milestones) < math.inf:
                 raise ValueError("divisor ** len(milestones) must be positive and finite")
 
-    def learning_rate(self, base_lr: float, steps_taken: int) -> float:
-        passed = sum(
-            1 for m in self.milestones if steps_taken >= int(m * self.total_steps)
-        )
+    def learning_rate(self, base_lr: float, steps_taken: int, total_steps: int) -> float:
+        passed = sum(1 for m in self.milestones if steps_taken >= int(m * total_steps))
         return base_lr / self.divisor**passed
 
     def learning_rates(self, base_lr: float, steps: int) -> Iterator[float]:
-        """learning_rate(base_lr, step) for each step in range(steps). The
-        rate changes only at a milestone's step, so it is looked up at step 0
-        and at those steps, and the same float is yielded until it changes."""
-        changes = {0, *(int(m * self.total_steps) for m in self.milestones)}
+        """learning_rate(base_lr, step, steps) for each step in range(steps).
+        The rate changes only at a milestone's step, so it is looked up at
+        step 0 and at those steps, and the same float is yielded until it
+        changes."""
+        changes = {0, *(int(m * steps) for m in self.milestones)}
         for step in range(steps):
             if step in changes:
-                rate = self.learning_rate(base_lr, step)
+                rate = self.learning_rate(base_lr, step, steps)
             yield rate
 
 
@@ -72,13 +70,9 @@ class BaselineConfig:
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
 
-    def lr_at(self, steps_taken: int) -> float:
-        if self.schedule is None:
-            return self.learning_rate
-        return self.schedule.learning_rate(self.learning_rate, steps_taken)
-
     def rates(self, steps: int) -> Iterator[float]:
-        """lr_at(step) for each step in range(steps)."""
+        """The rate of each step of a steps-step run: learning_rate, or the
+        schedule's rates over that budget."""
         if self.schedule is None:
             return itertools.repeat(self.learning_rate, steps)
         return self.schedule.learning_rates(self.learning_rate, steps)
@@ -152,8 +146,8 @@ def run_baseline(
     """Train with a baseline optimizer; one batch load per step, measured
     with one loss_and_gradient call and recorded with TrainingLog.record
     like the line-search optimizer's loads. Each step's row logs the rate
-    the step applies, config.lr_at(step). The returned theta is the run's
-    own array, not the problem's initial_theta output."""
+    the step applies, from config.rates(steps_to_train). The returned theta
+    is the run's own array, not the problem's initial_theta output."""
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown baseline optimizer {optimizer!r}")
     if steps_to_train < 1:

@@ -174,6 +174,13 @@ def build_section(config: RunConfig, prefix: str, **extra):
         raise ConfigError(str(exc)) from exc
 
 
+def build_streams(config: RunConfig):
+    """The run's RNG streams; SeedSequence takes no negative seed."""
+    if config["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
+    return rng_streams(config["seed"])
+
+
 def build_problem(config: RunConfig, data_rng):
     name = config["problem"]
     if name not in PROBLEM_NAMES:
@@ -247,7 +254,7 @@ def run_experiment(config: RunConfig) -> int:
     optimizer = config["optimizer"]
     if optimizer not in OPTIMIZER_NAMES:
         raise ConfigError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_NAMES}")
-    streams = rng_streams(config["seed"])
+    streams = build_streams(config)
     problem = build_problem(config, streams.data)
     steps = config["steps"]
     if steps < 1:
@@ -255,8 +262,8 @@ def run_experiment(config: RunConfig) -> int:
     if optimizer == "elf":
         elf_config = build_section(config, "elf", line_search=build_section(config, "elf.line"))
     else:
-        schedule = build_section(config, "schedule", total_steps=steps)
-        baseline_config = build_section(config, optimizer, schedule=schedule)
+        baseline_config = build_section(config, optimizer,
+                                        schedule=build_section(config, "schedule"))
     out_dir = _open_out_dir(config, ("training_log.csv", "line_[0-9]*.csv", "fits.csv"))
 
     exit_code = 0
@@ -284,7 +291,7 @@ def run_experiment(config: RunConfig) -> int:
 def dump_cross_section(config: RunConfig) -> int:
     """Densely sample every training batch's loss along one direction from
     the initial parameters and write the profile CSV."""
-    streams = rng_streams(config["seed"])
+    streams = build_streams(config)
     problem = build_problem(config, streams.data)
     theta0 = np.asarray(problem.initial_theta(streams.theta_init), dtype=float)
 

@@ -49,10 +49,6 @@ class Polynomial:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coef)
 
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
-
     def __call__(self, s):
         return evaluate(self, s)
 

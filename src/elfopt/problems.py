@@ -14,13 +14,12 @@ that uses it when present and falls back to the required ones otherwise:
   batch_loss. All three problems define it. The quadratic and logistic ones
   stack every load; MlpBlobs runs its hidden layers per load and stacks only
   the softmax head, as weights stacked per load in 3-D measured slower than
-  the loop on wide layers. A wide MlpBlobs splits a round's loads into one
-  contiguous chunk per usable CPU, up to two, when BLAS is pinned to one
-  thread (see _round_workers): the caller runs the first chunk and a thread
-  started for the call runs each other one, each with a parameter buffer
-  and activations of its own, writing its own rows of the round's logits.
-  Each load's arithmetic is the same in any thread, so every loss keeps its
-  bits.
+  the loop on wide layers. A wide MlpBlobs may split a round's loads into
+  contiguous chunks (the rule is in the README): the caller runs the first
+  chunk and a ThreadPoolExecutor the others, each chunk with a parameter
+  buffer and activations of its own, writing its own rows of the round's
+  logits. Each load's arithmetic is the same in any thread, so every loss
+  keeps its bits.
 - batch_loss_and_gradient(theta, batch) returns (loss, gradient) from one
   forward pass, for the loads that need both; the fallback is
   (float(batch_loss), batch_gradient). All three problems define it and
@@ -31,7 +30,7 @@ that uses it when present and falls back to the required ones otherwise:
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,10 +264,8 @@ def _blas_pinned() -> bool:
     return False
 
 
-# A guess from the environment as elfopt's import finds it, which may not be
-# what the loaded BLAS obeys: a variable set after numpy's import, a
-# threadpoolctl limit or an MKL_NUM_THREADS apart from OMP_NUM_THREADS goes
-# unseen. It only picks the faster path for a round; no loss changes with it.
+# A guess from the environment at elfopt's import, which the loaded BLAS may
+# not obey; it only picks the faster path for a round, so no loss changes.
 _BLAS_PINNED = _blas_pinned()
 
 
@@ -281,10 +278,9 @@ def _usable_cpus() -> int:
 
 def _round_workers(width: int) -> int:
     """How many threads a round of MlpBlobs loads runs on, for a network
-    whose hidden1 * hidden2 is width: every usable CPU, up to
-    MlpBlobs.ROUND_WORKERS, when BLAS is pinned to one thread and width
-    reaches MlpBlobs.PARALLEL_WIDTH, else one. An unpinned BLAS already
-    threads each product, and more threads on top of it measured slower."""
+    whose hidden1 * hidden2 is width. One unless BLAS is pinned: an unpinned
+    BLAS already threads each product, and more threads on top of it
+    measured slower."""
     if not _BLAS_PINNED or width < MlpBlobs.PARALLEL_WIDTH:
         return 1
     return min(_usable_cpus(), MlpBlobs.ROUND_WORKERS)
@@ -292,33 +288,21 @@ def _round_workers(width: int) -> int:
 
 def _in_threads(work, chunks) -> None:
     """Call work(lo, hi) for every (lo, hi) in chunks: the first in the
-    caller, each other in a thread of its own under the caller's
+    caller, each other on a ThreadPoolExecutor under the caller's
     floating-point error handling; one chunk starts no thread. Returns, or
     raises the exception of the first chunk that raised, only after every
     thread has joined."""
-    errors = [None] * len(chunks)
     handling = dict(np.geterr(), call=np.geterrcall())
 
-    def run(i):
-        try:
-            with np.errstate(**handling):
-                work(*chunks[i])
-        except BaseException as error:      # re-raised in the caller
-            errors[i] = error
+    def run(lo, hi):
+        with np.errstate(**handling):
+            work(lo, hi)
 
-    started = []
-    try:
-        for i in range(1, len(chunks)):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            started.append(thread)
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        futures = [pool.submit(run, *chunk) for chunk in chunks[1:]]
         work(*chunks[0])
-    finally:
-        for thread in started:
-            thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
+    for future in futures:
+        future.result()
 
 
 def _sigmoid(z):
@@ -450,13 +434,10 @@ class MlpBlobs(_Blobs):
     """Two-hidden-layer tanh network with softmax cross entropy on seeded
     Gaussian blobs; gradients come from analytic backprop."""
 
-    # hidden1 * hidden2 from which a round's loads run on more than one CPU.
-    # Below it a load is bound by numpy's per-call overhead, which holds the
+    # Narrower loads are bound by numpy's per-call overhead, which holds the
     # GIL, and threads measured no faster than one core (CHANGES.md).
     PARALLEL_WIDTH = 160 * 160
-    # The most threads a round runs on. The threshold above and a round's
-    # gain (README) were measured on 2 CPUs; how a round scales past them is
-    # unmeasured.
+    # Rounds were measured on 2 CPUs; how they scale past them is unmeasured.
     ROUND_WORKERS = 2
 
     def __init__(
@@ -539,10 +520,9 @@ class MlpBlobs(_Blobs):
 
     def batch_losses_along(self, theta0, direction, s, batches) -> np.ndarray:
         # The trunk runs per load, in one contiguous chunk of loads per
-        # worker (_round_workers); each worker has its own parameter buffer
-        # and activations and writes its own rows of logits. Only the head
-        # runs stacked, once, here. Weights stacked per load in 3-D measured
-        # slower than the loop.
+        # worker (_round_workers, _in_threads). Only the head runs stacked,
+        # once, here. Weights stacked per load in 3-D measured slower than
+        # the loop.
         if not batches:
             return np.empty(0)
         logits = np.empty((len(batches), batches[0][0].shape[0], self.n_classes))

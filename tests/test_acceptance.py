@@ -275,8 +275,7 @@ def test_criterion_07_end_to_end_training():
     for lr in (1e-1, 1e-2, 1e-3, 1e-4):
         s = rng_streams(0)
         p = LogisticBlobs(rng=s.data)
-        config = BaselineConfig(learning_rate=lr, momentum=0.9,
-                                schedule=StepDecaySchedule(total_steps=consumed))
+        config = BaselineConfig(learning_rate=lr, momentum=0.9, schedule=StepDecaySchedule())
         theta, _ = run_baseline(p, "sgd", config, consumed, s)
         best_sgd = min(best_sgd, empirical_loss(p, theta))
     assert elf_loss <= 1.5 * best_sgd

@@ -47,16 +47,22 @@ def test_momentum_accumulates_geometrically():
     np.testing.assert_allclose(state.theta - before, -0.1 * 1.9 * g)
 
 
+def _rate(config, step, steps):
+    """The rate of step `step` of a steps-step run, looked up on its own."""
+    if config.schedule is None:
+        return config.learning_rate
+    return config.schedule.learning_rate(config.learning_rate, step, steps)
+
+
 def test_schedule_divides_by_ten_after_half_and_three_quarters():
-    schedule = StepDecaySchedule(total_steps=100)
-    config = BaselineConfig(learning_rate=0.1, schedule=schedule)
-    assert config.lr_at(0) == 0.1
-    assert config.lr_at(49) == 0.1
+    schedule = StepDecaySchedule()
+    assert schedule.learning_rate(0.1, 0, 100) == 0.1
+    assert schedule.learning_rate(0.1, 49, 100) == 0.1
     # the (T/2 + 1)-th step runs with lr0 / 10
-    assert config.lr_at(50) == 0.1 / 10
-    assert config.lr_at(74) == 0.1 / 10
-    assert config.lr_at(75) == 0.1 / 100
-    assert config.lr_at(99) == 0.1 / 100
+    assert schedule.learning_rate(0.1, 50, 100) == 0.1 / 10
+    assert schedule.learning_rate(0.1, 74, 100) == 0.1 / 10
+    assert schedule.learning_rate(0.1, 75, 100) == 0.1 / 100
+    assert schedule.learning_rate(0.1, 99, 100) == 0.1 / 100
 
 
 @pytest.mark.parametrize("divisor, milestones", [
@@ -66,14 +72,13 @@ def test_schedule_divides_by_ten_after_half_and_three_quarters():
 ])
 def test_schedule_rejects_a_decay_beyond_the_float_range(divisor, milestones):
     with pytest.raises(ValueError, match="divisor"):
-        StepDecaySchedule(total_steps=100, milestones=milestones, divisor=divisor)
+        StepDecaySchedule(milestones=milestones, divisor=divisor)
 
 
 def test_schedule_keeps_a_decay_at_the_edge_of_the_float_range():
     # 1e154**2 = 1e308 is still a float, so this schedule runs as before.
-    config = BaselineConfig(learning_rate=1.0, schedule=StepDecaySchedule(
-        total_steps=100, milestones=(0.5, 0.75), divisor=1e154))
-    assert config.lr_at(99) == 1.0 / 1e154**2
+    schedule = StepDecaySchedule(milestones=(0.5, 0.75), divisor=1e154)
+    assert schedule.learning_rate(1.0, 99, 100) == 1.0 / 1e154**2
 
 
 def test_adam_first_step_bounded_by_learning_rate():
@@ -146,7 +151,7 @@ def test_momentum_free_sgd_is_plain_gradient_descent():
 def test_run_baseline_is_deterministic():
     problem = NoisyQuadraticEnsemble(n_batches=10, dim=4, rng=np.random.default_rng(0))
     config = BaselineConfig(learning_rate=0.05, momentum=0.9,
-                            schedule=StepDecaySchedule(total_steps=200))
+                            schedule=StepDecaySchedule())
     theta_a, log_a = run_baseline(problem, "sgd", config, 200, rng_streams(3))
     theta_b, log_b = run_baseline(problem, "sgd", config, 200, rng_streams(3))
     np.testing.assert_array_equal(theta_a, theta_b)
@@ -157,10 +162,10 @@ def test_run_baseline_is_deterministic():
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_each_row_logs_the_rate_its_step_applied(optimizer):
     problem = NoisyQuadraticEnsemble(n_batches=10, dim=4, rng=np.random.default_rng(0))
-    config = BaselineConfig(learning_rate=0.05, schedule=StepDecaySchedule(total_steps=200))
+    config = BaselineConfig(learning_rate=0.05, schedule=StepDecaySchedule())
     theta, log = run_baseline(problem, optimizer, config, 200, rng_streams(3))
     rates = [row.update_step for row in log.rows]
-    assert rates == [config.lr_at(i) for i in range(200)]
+    assert rates == [_rate(config, i, 200) for i in range(200)]
     drops = [row.step for before, row in zip(log.rows, log.rows[1:])
              if row.update_step != before.update_step]
     assert drops == [101, 151]
@@ -268,7 +273,7 @@ def test_in_place_steps_equal_the_out_of_place_formulas(size, data, lr, momentum
 
 def _reference_run(problem, optimizer, config, steps, streams):
     """run_baseline as a plain loop over the out-of-place formulas, each
-    step's rate looked up with lr_at."""
+    step's rate looked up on its own."""
     init, step = ((init_sgd, _reference_sgd_step) if optimizer == "sgd"
                   else (init_adam, _reference_adam_step))
     state = init(problem.initial_theta(streams.theta_init))
@@ -276,8 +281,8 @@ def _reference_run(problem, optimizer, config, steps, streams):
     rows = []
     for index in range(steps):
         loss, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
-        rows.append((index + 1, "sgd", loss, config.lr_at(index), None, None))
-        step(state, gradient, config.lr_at(index), config)
+        rows.append((index + 1, "sgd", loss, _rate(config, index, steps), None, None))
+        step(state, gradient, _rate(config, index, steps), config)
     return state.theta, rows
 
 
@@ -289,7 +294,7 @@ def _reference_run(problem, optimizer, config, steps, streams):
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_run_baseline_is_bit_identical_to_the_out_of_place_loop(make_problem, optimizer):
     config = BaselineConfig(learning_rate=0.05 if optimizer == "sgd" else 0.005,
-                            schedule=StepDecaySchedule(total_steps=1000, milestones=(0.3, 0.6, 0.6)))
+                            schedule=StepDecaySchedule(milestones=(0.3, 0.6, 0.6)))
     initial = []
     problem = make_problem(rng_streams(4).data)
     draw_theta = problem.initial_theta
@@ -312,18 +317,18 @@ def test_run_baseline_is_bit_identical_to_the_out_of_place_loop(make_problem, op
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(total_steps=st.integers(0, 60), steps=st.integers(0, 80),
+@given(steps=st.integers(0, 80),
        milestones=st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0),
                            max_size=4),
        divisor=st.sampled_from([10.0, 3.0, 0.5, 1e50]),
        base_lr=st.sampled_from([0.01, 1.0, 1e-300]))
-def test_rates_are_lr_at_for_every_step(total_steps, steps, milestones, divisor, base_lr):
-    schedule = StepDecaySchedule(total_steps=total_steps, milestones=tuple(milestones),
-                                 divisor=divisor)
+def test_rates_are_lr_at_for_every_step(steps, milestones, divisor, base_lr):
+    schedule = StepDecaySchedule(milestones=tuple(milestones), divisor=divisor)
     for config in (BaselineConfig(learning_rate=base_lr, schedule=schedule),
                    BaselineConfig(learning_rate=base_lr)):
         rates = list(config.rates(steps))
-        assert [rate.hex() for rate in rates] == [config.lr_at(step).hex() for step in range(steps)]
+        assert [rate.hex() for rate in rates] == [
+            _rate(config, step, steps).hex() for step in range(steps)]
 
 
 @pytest.mark.parametrize("schedule", [True, False], ids=["step-decay", "constant"])
@@ -331,13 +336,13 @@ def test_rates_are_lr_at_for_every_step(total_steps, steps, milestones, divisor,
 def test_a_baseline_log_holds_one_segment_per_rate(optimizer, schedule):
     steps = 6000
     config = BaselineConfig(learning_rate=0.05 if optimizer == "sgd" else 0.005,
-                            schedule=StepDecaySchedule(total_steps=steps) if schedule else None)
+                            schedule=StepDecaySchedule() if schedule else None)
     problem = LogisticBlobs(separation=1.0, cluster_std=1.0, rng=rng_streams(6).data)
     _, log = run_baseline(problem, optimizer, config, steps, rng_streams(6))
     _, ref_rows = _reference_run(problem, optimizer, config, steps, rng_streams(6))
     assert [repr(tuple(row)) for row in log.rows] == [repr(row) for row in ref_rows]
     firsts = [1, 3001, 4501] if schedule else [1]
     assert [(segment.first, segment.update_step) for segment in log.segments] == [
-        (first, config.lr_at(first - 1)) for first in firsts]
+        (first, _rate(config, first - 1, steps)) for first in firsts]
     assert [len(segment.losses) for segment in log.segments] == [
         end - first for first, end in zip(firsts, [*firsts[1:], steps + 1])]

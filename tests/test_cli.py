@@ -485,6 +485,8 @@ def test_line_search_config_errors_exit_1_before_training(tmp_path, capsys, sett
     ["--problem", "logistic", "--set", "logistic.cluster_std=nan"],
     ["--problem", "mlp", "--set", "mlp.separation=inf"],
     ["--dump-cross-section", "--set", "cross_section.s_max=inf"],
+    ["--seed", "-1"],
+    ["--seed", "-1", "--dump-cross-section"],
 ], ids=lambda args: args[-1])
 def test_problem_and_schedule_errors_exit_1_before_writing(tmp_path, capsys, args):
     out = tmp_path / "nothing"

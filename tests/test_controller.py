@@ -1026,7 +1026,7 @@ def test_baseline_config_that_validates_never_crashes(optimizer, learning_rate, 
     steps = 40
     try:
         config = BaselineConfig(learning_rate=learning_rate, schedule=StepDecaySchedule(
-            total_steps=steps, milestones=milestones, divisor=divisor))
+            milestones=milestones, divisor=divisor))
     except ValueError:
         return
     for make_problem in SMALL_PROBLEMS.values():

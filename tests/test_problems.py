@@ -193,6 +193,28 @@ def test_a_parallel_round_keeps_the_callers_error_handling(bad_load, monkeypatch
     assert threading.active_count() == threads
 
 
+def test_a_parallel_round_calls_the_callers_error_callback(monkeypatch):
+    # The worker's chunk (loads 5-9) overflows, and its overflow reaches the
+    # handler the caller set, called on the worker's thread.
+    problem = _wide_mlp()
+    _force_round_workers(monkeypatch, 2)
+    threads = threading.active_count()
+    theta0, d, s, batches = _round_with(problem, 7, bad_step=1e308)
+    calls = []
+
+    def handler(kind, flag):
+        calls.append(threading.get_ident())
+
+    with np.errstate(all="call", call=handler):
+        along = problem.batch_losses_along(theta0, d, s, batches)
+    with np.errstate(all="ignore"):
+        looped = np.array([problem.batch_loss(theta0 + step * d, batch)
+                           for step, batch in zip(s.tolist(), batches)])
+    assert along.tobytes() == looped.tobytes()
+    assert calls and threading.get_ident() not in calls
+    assert threading.active_count() == threads
+
+
 def test_a_parallel_round_re_raises_a_workers_exception(monkeypatch):
     problem = _wide_mlp()
     _force_round_workers(monkeypatch, 2)
