@@ -23,7 +23,8 @@ Artifacts written per run:
 Before a run, the artifacts an earlier run left in the output directory under
 these names are removed, so the directory describes one run and an artifact
 path that cannot be written is a configuration error, not a failure after
-the run.
+the run. A write that fails after the run, such as on a full disk, is the
+same configuration error, and the files written so far stay as they are.
 
 Exit codes: 0 success, 1 configuration, usage or path error, 2 divergence.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -231,20 +233,28 @@ def write_fits_csv(path: Path, log: TrainingLog, max_degree: int) -> None:
     _write_csv(path, ["line_index", "degree", *(f"c{i}" for i in range(max_degree + 1))], rows)
 
 
+@contextmanager
+def _writing_out_dir():
+    """Turn an OSError raised while writing the output directory into a
+    ConfigError, which main reports as one line and exit code 1."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output directory: {exc}") from exc
+
+
 def _open_out_dir(config: RunConfig, artifacts: tuple[str, ...]) -> Path:
     """Create the output directory, remove whatever an earlier run left under
     the names (glob patterns) of the artifacts this run writes, and write
     config.txt; call after validation. A path in the way is a ConfigError
     before the run, and the directory then describes one run."""
     out_dir = Path(config["out"])
-    try:
+    with _writing_out_dir():
         out_dir.mkdir(parents=True, exist_ok=True)
         for pattern in artifacts:
             for path in out_dir.glob(pattern):
                 path.unlink()
         (out_dir / "config.txt").write_text(config.serialize(), encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write the output directory: {exc}") from exc
     return out_dir
 
 
@@ -276,9 +286,10 @@ def run_experiment(config: RunConfig) -> int:
         print(f"divergence: {exc}", file=sys.stderr)
         log, exit_code = exc.log, 2
 
-    write_training_log(out_dir / "training_log.csv", log)
-    write_line_csvs(out_dir, log)
-    write_fits_csv(out_dir / "fits.csv", log, config["elf.line.max_degree"])
+    with _writing_out_dir():
+        write_training_log(out_dir / "training_log.csv", log)
+        write_line_csvs(out_dir, log)
+        write_fits_csv(out_dir / "fits.csv", log, config["elf.line.max_degree"])
 
     if not config["quiet"]:
         print(f"run complete: {len(log)} steps "
@@ -319,9 +330,10 @@ def dump_cross_section(config: RunConfig) -> int:
     out_dir = _open_out_dir(config, ("cross_section.csv",))
     series = [(f"batch_{i}", curve) for i, curve in enumerate(profile.per_batch)]
     series += [("mean", profile.mean), ("q1", profile.q1), ("q2", profile.q2), ("q3", profile.q3)]
-    _write_csv(out_dir / "cross_section.csv", ("series", "s", "loss"),
-               [(name, s, loss) for name, curve in series
-                for s, loss in zip(profile.s_grid.tolist(), curve.tolist())])
+    with _writing_out_dir():
+        _write_csv(out_dir / "cross_section.csv", ("series", "s", "loss"),
+                   [(name, s, loss) for name, curve in series
+                    for s, loss in zip(profile.s_grid.tolist(), curve.tolist())])
 
     if not config["quiet"]:
         print(f"cross section written: {profile.per_batch.shape[0]} batches x "

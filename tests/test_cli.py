@@ -1,6 +1,7 @@
 """Experiment runner: config round-trips, artifact schemas, determinism,
 error paths, and the cross-section dump."""
 
+import errno
 import math
 
 import numpy as np
@@ -432,6 +433,24 @@ def test_an_unwritable_artifact_is_a_config_error_before_the_run(tmp_path, capsy
     assert main(["--steps", "20", "--out", str(out), "--quiet", *FAST_ELF]) == 1
     assert capsys.readouterr().err.startswith("config error:")
     assert [p.name for p in out.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("writer, args", [
+    ("write_training_log", []), ("write_line_csvs", []), ("write_fits_csv", []),
+    ("_write_csv", ["--dump-cross-section", "--set", "cross_section.points=5"]),
+])
+def test_a_write_that_fails_after_the_run_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                            writer, args):
+    # As when the disk fills or a file-size limit is hit after the budget
+    # was spent: one line, exit 1, no traceback.
+    def file_too_large(*_):
+        raise OSError(errno.EFBIG, "File too large")
+
+    monkeypatch.setattr(cli, writer, file_too_large)
+    argv = ["--steps", "20", "--out", str(tmp_path / "run"), "--quiet", *FAST_ELF, *args]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: cannot write the output directory: [Errno 27] File too large\n"
 
 
 def test_help_exits_0(capsys):

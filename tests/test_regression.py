@@ -1,12 +1,16 @@
 """Least-squares fitting and cross-validated degree selection, checked
-against explicit normal-equations and materialized-fold oracles."""
+against explicit normal-equations and materialized-fold oracles and against
+the full-width sweep kept in cv_reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cv_reference
 from elfopt.regression import (
+    FIRST_BLOCK,
+    STOP_RULE_TOL,
     SampleSet,
     _design,
     _least_squares,
@@ -368,6 +372,52 @@ def test_cv_errors_and_chosen_degree_match_oracles(
     smallest_train = n - int(np.ceil(n / folds))   # positions are distinct
     capped = min(max_degree, smallest_train - 1)
     assert report.chosen_degree == _enumerate_stop_rule(positions, losses, capped, folds, seed)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    folds=st.integers(2, 10),
+    max_degree=st.integers(0, 10),
+    true_degree=st.integers(0, 8),
+    noise=st.sampled_from([0.0, 0.0, 1e-9, 1e-3, 0.3]),
+    distinct=st.sampled_from([None, None, None, 1, 2, 3, 5, 6, 7]),
+    exponent=st.sampled_from([0, -1000, 1000]),
+    seed=st.integers(0, 2**16),
+)
+def test_sweep_decides_and_refits_as_the_full_width_sweep(
+    data, folds, max_degree, true_degree, noise, distinct, exponent, seed
+):
+    # Exact polynomials of degree 5 and up drive the sweep past the first
+    # block, and few distinct positions stop it at a dependent column or a
+    # pivot that some training fold cannot determine.
+    n = data.draw(st.integers(folds, 501), label="n")
+    rng = np.random.default_rng(seed)
+    if distinct is None:
+        positions = rng.uniform(0.0, 2.0, n)
+    else:
+        positions = rng.choice(rng.uniform(0.0, 2.0, distinct), n)
+    base = np.polynomial.polynomial.polyval(positions - 1.0, rng.normal(size=true_degree + 1))
+    base += noise * rng.normal(size=n)
+    samples = SampleSet(positions, np.ldexp(base, exponent))
+
+    report = select_degree_and_fit(samples, max_degree, folds, np.random.default_rng(seed))
+    want = cv_reference.select_degree_and_fit(samples, max_degree, folds,
+                                              np.random.default_rng(seed))
+    assert report.chosen_degree == want.chosen_degree
+    assert report.polynomial.coefficients.tobytes() == want.polynomial.coefficients.tobytes()
+    # CV errors differ by rounding only. Those of exact fits are rounding
+    # noise, so the stop rule's own tolerance is the absolute floor. At
+    # 2^+-1000 they pass the float range; test_losses_scaled_by_a_power_of_
+    # two_decide_alike shows they are exactly 4^exponent times these.
+    if exponent == 0:
+        floor = STOP_RULE_TOL * float(np.mean(base**2))
+        np.testing.assert_allclose(report.cv_test_errors, want.cv_test_errors,
+                                   rtol=1e-12, atol=floor)
+    # The first block's errors do not depend on how many columns a sweep asks for.
+    degree = min(FIRST_BLOCK, report.cv_test_errors.size) - 1
+    error = kfold_cv_error(degree, samples, folds, np.random.default_rng(seed))
+    assert error == report.cv_test_errors[degree]
 
 
 @pytest.mark.parametrize("exponent", [-1000, -60, 0, 60, 700, 1000])
