@@ -9,7 +9,7 @@ line search or the startup grid search consumes.
 
 import numpy as np
 
-from elfopt.baselines import BaselineConfig, StepDecaySchedule, run_baseline
+from elfopt.baselines import AdamConfig, SgdConfig, StepDecaySchedule, run_baseline
 from elfopt.controller import ElfConfig, run
 from elfopt.problems import LogisticBlobs, empirical_loss
 from elfopt.seeding import rng_streams
@@ -28,13 +28,13 @@ rows = [(
     f"{len(log.line_searches)} searches, final step {state.update_step:.3f}",
 )]
 
-for optimizer, grid in (("sgd", (1e-1, 1e-2, 1e-3, 1e-4)),
-                        ("adam", (1e-1, 1e-2, 1e-3, 1e-4))):
-    for lr in grid:
+# SgdConfig's momentum is 0.9; Adam has none.
+for optimizer, config_class in (("sgd", SgdConfig), ("adam", AdamConfig)):
+    for lr in (1e-1, 1e-2, 1e-3, 1e-4):
         s = rng_streams(0)
         p = LogisticBlobs(rng=s.data)
-        config = BaselineConfig(learning_rate=lr, momentum=0.9, schedule=StepDecaySchedule())
-        theta, _ = run_baseline(p, optimizer, config, consumed, s)
+        config = config_class(learning_rate=lr, schedule=StepDecaySchedule())
+        theta, _ = run_baseline(p, config, consumed, s)
         rows.append((f"{optimizer} lr={lr:g}", empirical_loss(p, theta),
                      p.training_accuracy(theta), ""))
 

@@ -2,7 +2,7 @@
 batch losses sampled along the negative-gradient direction and step to the
 fitted minimum."""
 
-from .baselines import BaselineConfig, StepDecaySchedule, run_baseline
+from .baselines import AdamConfig, SgdConfig, StepDecaySchedule, run_baseline
 from .controller import DivergenceError, ElfConfig, run
 from .linesearch import LineSearchConfig, elf_line_search
 from .problems import LogisticBlobs, MlpBlobs, NoisyQuadraticEnsemble, cross_section_profile, empirical_loss
@@ -10,7 +10,7 @@ from .regression import SampleSet, select_degree_and_fit
 from .seeding import rng_streams
 
 __all__ = [
-    "BaselineConfig",
+    "AdamConfig",
     "DivergenceError",
     "ElfConfig",
     "LineSearchConfig",
@@ -18,6 +18,7 @@ __all__ = [
     "MlpBlobs",
     "NoisyQuadraticEnsemble",
     "SampleSet",
+    "SgdConfig",
     "StepDecaySchedule",
     "cross_section_profile",
     "elf_line_search",

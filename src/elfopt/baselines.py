@@ -49,13 +49,18 @@ class StepDecaySchedule:
             yield rate
 
 
+def step_rates(config: SgdConfig | AdamConfig, steps: int) -> Iterator[float]:
+    """The rate of each step of a steps-step run: config.learning_rate, or
+    config.schedule's rates over that budget."""
+    if config.schedule is None:
+        return itertools.repeat(config.learning_rate, steps)
+    return config.schedule.learning_rates(config.learning_rate, steps)
+
+
 @dataclass(frozen=True)
-class BaselineConfig:
+class SgdConfig:
     learning_rate: float = 0.01
-    momentum: float = 0.9          # SGD only
-    beta1: float = 0.9             # Adam only
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    momentum: float = 0.9
     schedule: StepDecaySchedule | None = None
 
     def __post_init__(self):
@@ -63,19 +68,26 @@ class BaselineConfig:
             raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
+
+
+@dataclass(frozen=True)
+class AdamConfig:
+    # Adam's customary step: it normalizes by the gradient scale.
+    learning_rate: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    schedule: StepDecaySchedule | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.beta1 < 1.0:
             raise ValueError("beta1 must lie in [0, 1)")
         if not 0.0 < self.beta2 < 1.0:
             raise ValueError("beta2 must lie in (0, 1)")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-
-    def rates(self, steps: int) -> Iterator[float]:
-        """The rate of each step of a steps-step run: learning_rate, or the
-        schedule's rates over that budget."""
-        if self.schedule is None:
-            return itertools.repeat(self.learning_rate, steps)
-        return self.schedule.learning_rates(self.learning_rate, steps)
 
 
 @dataclass
@@ -110,15 +122,14 @@ def init_adam(theta: np.ndarray) -> AdamState:
 #   theta = theta - lr * m_hat / (sqrt(v_hat) + epsilon)
 # in the same order, so each element is rounded as these formulas round it.
 
-def sgd_step(state: SgdState, gradient: np.ndarray, lr: float, config: BaselineConfig) -> SgdState:
+def sgd_step(state: SgdState, gradient: np.ndarray, lr: float, config: SgdConfig) -> SgdState:
     state.velocity *= config.momentum
     state.velocity += gradient
     state.theta -= lr * state.velocity
     return state
 
 
-def adam_step(state: AdamState, gradient: np.ndarray, lr: float,
-              config: BaselineConfig) -> AdamState:
+def adam_step(state: AdamState, gradient: np.ndarray, lr: float, config: AdamConfig) -> AdamState:
     state.t += 1
     state.m *= config.beta1
     state.m += (1.0 - config.beta1) * gradient
@@ -136,30 +147,28 @@ def adam_step(state: AdamState, gradient: np.ndarray, lr: float,
     return state
 
 
-def run_baseline(
-    problem,
-    optimizer: str,
-    config: BaselineConfig,
-    steps_to_train: int,
-    streams: RngStreams,
-) -> tuple[np.ndarray, TrainingLog]:
-    """Train with a baseline optimizer; one batch load per step, measured
-    with one loss_and_gradient call and recorded with TrainingLog.record
-    like the line-search optimizer's loads. Each step's row logs the rate
-    the step applies, from config.rates(steps_to_train). The returned theta
-    is the run's own array, not the problem's initial_theta output."""
-    if optimizer not in ("sgd", "adam"):
-        raise ValueError(f"unknown baseline optimizer {optimizer!r}")
+# Each baseline's config class -> (its state's init, its step).
+_OPTIMIZERS = {SgdConfig: (init_sgd, sgd_step), AdamConfig: (init_adam, adam_step)}
+
+
+def run_baseline(problem, config: SgdConfig | AdamConfig, steps_to_train: int,
+                 streams: RngStreams) -> tuple[np.ndarray, TrainingLog]:
+    """Train with the optimizer that the config's class configures. Each step
+    loads one batch, measured by one loss_and_gradient call and recorded by
+    TrainingLog.record like the line-search optimizer's loads; its row logs
+    the rate the step applies, from step_rates(config, steps_to_train). The
+    returned theta is the run's own array, not initial_theta's output."""
+    if type(config) not in _OPTIMIZERS:
+        raise TypeError(f"no baseline optimizer is configured by {type(config).__name__}")
     if steps_to_train < 1:
         raise ValueError("steps_to_train must be >= 1")
-    theta0 = problem.initial_theta(streams.theta_init)
-    state = init_sgd(theta0) if optimizer == "sgd" else init_adam(theta0)
-    step_fn = sgd_step if optimizer == "sgd" else adam_step
+    init, step = _OPTIMIZERS[type(config)]
+    state = init(problem.initial_theta(streams.theta_init))
 
     log = TrainingLog()
     train_stream = BatchStream(problem.train_batches, streams.train_order)
-    for lr in config.rates(steps_to_train):
+    for lr in step_rates(config, steps_to_train):
         loss, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
         log.record("sgd", [loss], lr)
-        step_fn(state, gradient, lr, config)
+        step(state, gradient, lr, config)
     return state.theta, log

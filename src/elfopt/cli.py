@@ -10,8 +10,8 @@ produce byte-identical artifacts.
 
 A key under a section prefix (quadratic, logistic, mlp, elf, elf.line, sgd,
 adam, schedule) sets one field of the class that section builds, and its
-default is that field's default in the class. Only the top-level keys, the
-cross_section keys and adam.learning_rate carry a default of their own.
+default is that field's default in the class. Only the top-level keys and the
+cross_section keys carry a default of their own.
 
 Artifacts written per run:
     config.txt          resolved configuration snapshot
@@ -24,7 +24,8 @@ Before a run, the artifacts an earlier run left in the output directory under
 these names are removed, so the directory describes one run and an artifact
 path that cannot be written is a configuration error, not a failure after
 the run. A write that fails after the run, such as on a full disk, is the
-same configuration error, and the files written so far stay as they are.
+same configuration error and cuts no artifact short: each is written to a
+temporary file next to it, then moved into place.
 
 Exit codes: 0 success, 1 configuration, usage or path error, 2 divergence.
 """
@@ -33,13 +34,14 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineConfig, StepDecaySchedule, run_baseline
+from .baselines import AdamConfig, SgdConfig, StepDecaySchedule, run_baseline
 from .controller import (DivergenceError, ElfConfig, LogRow, TrainingLog, euclidean_norm, run,
                          unit_vector)
 from .linesearch import LineSearchConfig
@@ -64,8 +66,8 @@ SECTIONS: dict[str, tuple[type, tuple[str, ...]]] = {
                         "grid_search_candidates", "grid_search_probe_steps")),
     "elf.line": (LineSearchConfig, ("k", "n", "initial_interval_width", "min_window_size",
                                     "folds", "max_degree")),
-    "sgd": (BaselineConfig, ("learning_rate", "momentum")),
-    "adam": (BaselineConfig, ("learning_rate", "beta1", "beta2", "epsilon")),
+    "sgd": (SgdConfig, ("learning_rate", "momentum")),
+    "adam": (AdamConfig, ("learning_rate", "beta1", "beta2", "epsilon")),
     "schedule": (StepDecaySchedule, ("milestones", "divisor")),
 }
 
@@ -88,9 +90,6 @@ DEFAULTS: dict[str, object] = {
     "cross_section.points": 50,
     "cross_section.direction": "batch_gradient",
 }
-# BaselineConfig's 0.01 suits SGD with momentum; Adam's customary step,
-# which normalizes by the gradient scale, is ten times smaller.
-DEFAULTS["adam.learning_rate"] = 0.001
 
 PROBLEM_NAMES = ("quadratic", "logistic", "mlp")
 OPTIMIZER_NAMES = ("elf", "sgd", "adam")
@@ -192,11 +191,23 @@ def build_problem(config: RunConfig, data_rng):
     return build_section(config, name, batch_size=config["batch_size"], rng=data_rng)
 
 
+def _write_file(path: Path, text: str) -> None:
+    """Write text to a temporary file next to path, then move it to path, so
+    path never holds part of text; an OSError removes the temporary file."""
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    except OSError:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header, rows) -> None:
     """Write a header of column names, then each row's cells through format_value."""
     lines = [",".join(header)]
     lines.extend(",".join(map(format_value, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 def write_training_log(path: Path, log: TrainingLog) -> None:
@@ -210,7 +221,7 @@ def write_training_log(path: Path, log: TrainingLog) -> None:
         event = segment.event
         for step, loss in enumerate(map(format_value, segment.losses), segment.first):
             lines.append(f"{step},{event},{loss},{tail}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 def write_line_csvs(out_dir: Path, log: TrainingLog) -> None:
@@ -221,7 +232,7 @@ def write_line_csvs(out_dir: Path, log: TrainingLog) -> None:
                    search.samples.losses.tolist())
         lines = ["round,s,loss"]
         lines.extend(f"{round_},{format_value(s)},{format_value(loss)}" for round_, s, loss in rows)
-        (out_dir / f"line_{index}.csv").write_text("\n".join(lines) + "\n")
+        _write_file(out_dir / f"line_{index}.csv", "\n".join(lines) + "\n")
 
 
 def write_fits_csv(path: Path, log: TrainingLog, max_degree: int) -> None:
@@ -254,7 +265,7 @@ def _open_out_dir(config: RunConfig, artifacts: tuple[str, ...]) -> Path:
         for pattern in artifacts:
             for path in out_dir.glob(pattern):
                 path.unlink()
-        (out_dir / "config.txt").write_text(config.serialize(), encoding="utf-8")
+        _write_file(out_dir / "config.txt", config.serialize())
     return out_dir
 
 
@@ -270,18 +281,16 @@ def run_experiment(config: RunConfig) -> int:
     if steps < 1:
         raise ConfigError("steps must be >= 1")
     if optimizer == "elf":
-        elf_config = build_section(config, "elf", line_search=build_section(config, "elf.line"))
+        train = run
+        train_config = build_section(config, "elf", line_search=build_section(config, "elf.line"))
     else:
-        baseline_config = build_section(config, optimizer,
-                                        schedule=build_section(config, "schedule"))
+        train = run_baseline
+        train_config = build_section(config, optimizer, schedule=build_section(config, "schedule"))
     out_dir = _open_out_dir(config, ("training_log.csv", "line_[0-9]*.csv", "fits.csv"))
 
     exit_code = 0
     try:
-        if optimizer == "elf":
-            _, log = run(problem, elf_config, steps, streams)
-        else:
-            _, log = run_baseline(problem, optimizer, baseline_config, steps, streams)
+        _, log = train(problem, train_config, steps, streams)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         log, exit_code = exc.log, 2

@@ -242,31 +242,6 @@ def _block_errors(
     return min(width, columns)
 
 
-def _check_cv_arguments(degree: int, samples: SampleSet, folds: int) -> None:
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    if len(samples) < folds:
-        raise ValueError(f"need at least {folds} samples for {folds}-fold CV")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-
-
-def kfold_cv_error(
-    degree: int, samples: SampleSet, folds: int, rng: np.random.Generator
-) -> float:
-    """k-fold cross-validation MSE for a polynomial of the given degree: the
-    last error of select_degree_and_fit's sweep with max_degree = degree,
-    which is its error at that degree for any larger max_degree too when
-    degree < FIRST_BLOCK."""
-    _check_cv_arguments(degree, samples, folds)
-    losses, e = _scaled(samples.losses)
-    x = _rescaled(samples.positions)[0]
-    errors = [error for error, _ in _cv_errors(x, losses, degree + 1, folds, rng)]
-    if len(errors) <= degree:
-        raise ValueError(f"degree must be in 0..{len(errors) - 1}, as set by the training folds")
-    return float(_unscaled(errors[degree], e))
-
-
 def select_degree_and_fit(
     samples: SampleSet, max_degree: int, folds: int, rng: np.random.Generator
 ) -> FitReport:
@@ -281,7 +256,12 @@ def select_degree_and_fit(
     losses scaled by _scaled, so that huge losses decide as their scaled
     copies do.
     """
-    _check_cv_arguments(max_degree, samples, folds)
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    if len(samples) < folds:
+        raise ValueError(f"need at least {folds} samples for {folds}-fold CV")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     x, mid, half = _rescaled(samples.positions)
     losses, e = _scaled(samples.losses)
     # np.mean's sum and division.

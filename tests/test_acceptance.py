@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from elfopt.baselines import BaselineConfig, StepDecaySchedule, run_baseline
+from elfopt.baselines import SgdConfig, StepDecaySchedule, run_baseline
 from elfopt.controller import ElfConfig, apply_decrease_factor, run, trigger_terms
 from elfopt.linesearch import LineSearchConfig, elf_line_search
 from elfopt.poly import Polynomial, closest_minimum_to_zero, evaluate
@@ -275,8 +275,8 @@ def test_criterion_07_end_to_end_training():
     for lr in (1e-1, 1e-2, 1e-3, 1e-4):
         s = rng_streams(0)
         p = LogisticBlobs(rng=s.data)
-        config = BaselineConfig(learning_rate=lr, momentum=0.9, schedule=StepDecaySchedule())
-        theta, _ = run_baseline(p, "sgd", config, consumed, s)
+        config = SgdConfig(learning_rate=lr, momentum=0.9, schedule=StepDecaySchedule())
+        theta, _ = run_baseline(p, config, consumed, s)
         best_sgd = min(best_sgd, empirical_loss(p, theta))
     assert elf_loss <= 1.5 * best_sgd
     _report("criterion 7 (end-to-end vs tuned SGD)", time.time() - start, 300.0,

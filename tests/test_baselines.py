@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elfopt.baselines import (
+    AdamConfig,
     AdamState,
-    BaselineConfig,
+    SgdConfig,
     SgdState,
     StepDecaySchedule,
     adam_step,
@@ -18,6 +19,7 @@ from elfopt.baselines import (
     init_sgd,
     run_baseline,
     sgd_step,
+    step_rates,
 )
 from elfopt.controller import DivergenceError
 from elfopt.problems import (
@@ -29,17 +31,50 @@ from elfopt.problems import (
 )
 from elfopt.seeding import rng_streams
 
+CONFIGS = {"sgd": SgdConfig, "adam": AdamConfig}
+
+
+def test_each_config_takes_only_its_optimizers_fields():
+    assert SgdConfig() == SgdConfig(learning_rate=0.01, momentum=0.9, schedule=None)
+    assert AdamConfig() == AdamConfig(learning_rate=0.001, beta1=0.9, beta2=0.999,
+                                      epsilon=1e-8, schedule=None)
+    with pytest.raises(TypeError):
+        SgdConfig(beta1=0.9)
+    with pytest.raises(TypeError):
+        AdamConfig(momentum=0.9)
+
+
+@pytest.mark.parametrize("make_config, message", [
+    (lambda: SgdConfig(learning_rate=0.0), "learning_rate must be positive and finite"),
+    (lambda: SgdConfig(learning_rate=math.inf), "learning_rate must be positive and finite"),
+    (lambda: SgdConfig(momentum=1.0), r"momentum must lie in \[0, 1\)"),
+    (lambda: AdamConfig(learning_rate=math.nan), "learning_rate must be positive and finite"),
+    (lambda: AdamConfig(beta1=-0.1), r"beta1 must lie in \[0, 1\)"),
+    (lambda: AdamConfig(beta2=1.0), r"beta2 must lie in \(0, 1\)"),
+    (lambda: AdamConfig(epsilon=0.0), "epsilon must be positive and finite"),
+])
+def test_each_config_checks_its_own_fields(make_config, message):
+    with pytest.raises(ValueError, match=message):
+        make_config()
+
+
+@pytest.mark.parametrize("config", [StepDecaySchedule(), None, "sgd"])
+def test_run_baseline_rejects_a_config_of_no_baseline(config):
+    problem = NoisyQuadraticEnsemble(n_batches=10, dim=4, rng=np.random.default_rng(0))
+    with pytest.raises(TypeError, match="no baseline optimizer"):
+        run_baseline(problem, config, 10, rng_streams(0))
+
 
 def test_plain_sgd_step():
     state = init_sgd(np.array([1.0, 1.0]))
-    config = BaselineConfig(learning_rate=0.1, momentum=0.0)
+    config = SgdConfig(learning_rate=0.1, momentum=0.0)
     sgd_step(state, np.array([1.0, 0.0]), config.learning_rate, config)
     np.testing.assert_allclose(state.theta, [0.9, 1.0])
 
 
 def test_momentum_accumulates_geometrically():
     state = init_sgd(np.zeros(2))
-    config = BaselineConfig(learning_rate=0.1, momentum=0.9)
+    config = SgdConfig(learning_rate=0.1, momentum=0.9)
     g = np.array([1.0, -2.0])
     sgd_step(state, g, config.learning_rate, config)
     before = state.theta.copy()
@@ -84,14 +119,14 @@ def test_schedule_keeps_a_decay_at_the_edge_of_the_float_range():
 def test_adam_first_step_bounded_by_learning_rate():
     lr = 0.01
     state = init_adam(np.zeros(4))
-    config = BaselineConfig(learning_rate=lr)
+    config = AdamConfig(learning_rate=lr)
     adam_step(state, np.array([0.5, -2.0, 1e-3, 10.0]), config.learning_rate, config)
     assert (np.abs(state.theta) <= lr * (1.0 + 1e-6)).all()
 
 
 def test_adam_zero_gradients_leave_theta_unchanged():
     state = init_adam(np.array([1.0, -2.0]))
-    config = BaselineConfig(learning_rate=0.01)
+    config = AdamConfig(learning_rate=0.01)
     for _ in range(10):
         adam_step(state, np.zeros(2), config.learning_rate, config)
     np.testing.assert_array_equal(state.theta, [1.0, -2.0])
@@ -116,7 +151,7 @@ def test_adam_matches_reference_on_quadratic():
     theta0 = np.array([3.0, -4.0, 1.5])
 
     state = init_adam(theta0)
-    config = BaselineConfig(learning_rate=1e-2)
+    config = AdamConfig(learning_rate=1e-2)
     losses = []
     grads = []
     theta_ref = theta0
@@ -140,7 +175,7 @@ def test_momentum_free_sgd_is_plain_gradient_descent():
     a = 0.8
     lr = 0.3
     state = init_sgd(np.array([2.0]))
-    config = BaselineConfig(learning_rate=lr, momentum=0.0)
+    config = SgdConfig(learning_rate=lr, momentum=0.0)
     expected = 2.0
     for _ in range(20):
         sgd_step(state, np.array([a * state.theta[0]]), config.learning_rate, config)
@@ -150,10 +185,9 @@ def test_momentum_free_sgd_is_plain_gradient_descent():
 
 def test_run_baseline_is_deterministic():
     problem = NoisyQuadraticEnsemble(n_batches=10, dim=4, rng=np.random.default_rng(0))
-    config = BaselineConfig(learning_rate=0.05, momentum=0.9,
-                            schedule=StepDecaySchedule())
-    theta_a, log_a = run_baseline(problem, "sgd", config, 200, rng_streams(3))
-    theta_b, log_b = run_baseline(problem, "sgd", config, 200, rng_streams(3))
+    config = SgdConfig(learning_rate=0.05, momentum=0.9, schedule=StepDecaySchedule())
+    theta_a, log_a = run_baseline(problem, config, 200, rng_streams(3))
+    theta_b, log_b = run_baseline(problem, config, 200, rng_streams(3))
     np.testing.assert_array_equal(theta_a, theta_b)
     assert log_a.rows == log_b.rows
     assert len(log_a.rows) == 200
@@ -162,8 +196,8 @@ def test_run_baseline_is_deterministic():
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_each_row_logs_the_rate_its_step_applied(optimizer):
     problem = NoisyQuadraticEnsemble(n_batches=10, dim=4, rng=np.random.default_rng(0))
-    config = BaselineConfig(learning_rate=0.05, schedule=StepDecaySchedule())
-    theta, log = run_baseline(problem, optimizer, config, 200, rng_streams(3))
+    config = CONFIGS[optimizer](learning_rate=0.05, schedule=StepDecaySchedule())
+    theta, log = run_baseline(problem, config, 200, rng_streams(3))
     rates = [row.update_step for row in log.rows]
     assert rates == [_rate(config, i, 200) for i in range(200)]
     drops = [row.step for before, row in zip(log.rows, log.rows[1:])
@@ -188,7 +222,7 @@ def test_run_baseline_aborts_on_divergence():
     problem = NoisyQuadraticEnsemble(n_batches=10, dim=3, rng=np.random.default_rng(0))
     # The learning rate validates; the overflow it causes is what the test is about.
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as raised:
-        run_baseline(problem, "sgd", BaselineConfig(learning_rate=1e300), 50, rng_streams(0))
+        run_baseline(problem, SgdConfig(learning_rate=1e300), 50, rng_streams(0))
     # The error carries every load up to and including the non-finite one.
     rows = raised.value.log.rows
     assert [row.step for row in rows] == list(range(1, len(rows) + 1))
@@ -200,7 +234,7 @@ def test_run_baseline_aborts_on_divergence():
 def test_run_baseline_rejects_a_budget_below_one(steps):
     problem = NoisyQuadraticEnsemble(n_batches=10, dim=4, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="steps_to_train"):
-        run_baseline(problem, "sgd", BaselineConfig(), steps, rng_streams(0))
+        run_baseline(problem, SgdConfig(), steps, rng_streams(0))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +279,8 @@ def test_in_place_steps_equal_the_out_of_place_formulas(size, data, lr, momentum
     def vector(entries):
         return np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
 
-    config = BaselineConfig(learning_rate=0.01, momentum=momentum, beta1=beta1, beta2=beta2,
-                            epsilon=epsilon)
+    sgd_config = SgdConfig(learning_rate=0.01, momentum=momentum)
+    adam_config = AdamConfig(learning_rate=0.01, beta1=beta1, beta2=beta2, epsilon=epsilon)
     theta = vector(_ENTRY)
     sgd, sgd_ref = init_sgd(theta), init_sgd(theta)
     adam, adam_ref = init_adam(theta), init_adam(theta)
@@ -259,10 +293,10 @@ def test_in_place_steps_equal_the_out_of_place_formulas(size, data, lr, momentum
             gradient = vector(_GRADIENT_ENTRY)
             before = gradient.tobytes()
             arrays = (sgd.theta, sgd.velocity, adam.theta, adam.m, adam.v)
-            assert sgd_step(sgd, gradient, lr, config) is sgd
-            assert adam_step(adam, gradient, lr, config) is adam
-            _reference_sgd_step(sgd_ref, gradient, lr, config)
-            _reference_adam_step(adam_ref, gradient, lr, config)
+            assert sgd_step(sgd, gradient, lr, sgd_config) is sgd
+            assert adam_step(adam, gradient, lr, adam_config) is adam
+            _reference_sgd_step(sgd_ref, gradient, lr, sgd_config)
+            _reference_adam_step(adam_ref, gradient, lr, adam_config)
             assert _state_bytes(sgd) == _state_bytes(sgd_ref)
             assert _state_bytes(adam) == _state_bytes(adam_ref)
             # Updated in place, and the gradient is left as it was.
@@ -271,10 +305,10 @@ def test_in_place_steps_equal_the_out_of_place_formulas(size, data, lr, momentum
             assert gradient.tobytes() == before
 
 
-def _reference_run(problem, optimizer, config, steps, streams):
+def _reference_run(problem, config, steps, streams):
     """run_baseline as a plain loop over the out-of-place formulas, each
     step's rate looked up on its own."""
-    init, step = ((init_sgd, _reference_sgd_step) if optimizer == "sgd"
+    init, step = ((init_sgd, _reference_sgd_step) if isinstance(config, SgdConfig)
                   else (init_adam, _reference_adam_step))
     state = init(problem.initial_theta(streams.theta_init))
     train_stream = BatchStream(problem.train_batches, streams.train_order)
@@ -293,8 +327,8 @@ def _reference_run(problem, optimizer, config, steps, streams):
 ], ids=["quadratic", "logistic-hard", "mlp"])
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_run_baseline_is_bit_identical_to_the_out_of_place_loop(make_problem, optimizer):
-    config = BaselineConfig(learning_rate=0.05 if optimizer == "sgd" else 0.005,
-                            schedule=StepDecaySchedule(milestones=(0.3, 0.6, 0.6)))
+    config = CONFIGS[optimizer](learning_rate=0.05 if optimizer == "sgd" else 0.005,
+                                schedule=StepDecaySchedule(milestones=(0.3, 0.6, 0.6)))
     initial = []
     problem = make_problem(rng_streams(4).data)
     draw_theta = problem.initial_theta
@@ -304,10 +338,10 @@ def test_run_baseline_is_bit_identical_to_the_out_of_place_loop(make_problem, op
         return initial[-1]
 
     problem.initial_theta = recorded_initial_theta
-    theta, log = run_baseline(problem, optimizer, config, 1000, rng_streams(4))
+    theta, log = run_baseline(problem, config, 1000, rng_streams(4))
     (theta0,) = initial
     first = theta0.copy()
-    ref_theta, ref_rows = _reference_run(problem, optimizer, config, 1000, rng_streams(4))
+    ref_theta, ref_rows = _reference_run(problem, config, 1000, rng_streams(4))
     assert theta.tobytes() == ref_theta.tobytes()
     assert [repr(tuple(row)) for row in log.rows] == [repr(row) for row in ref_rows]
     # The returned theta is the run's own array: the problem's initial_theta
@@ -324,9 +358,10 @@ def test_run_baseline_is_bit_identical_to_the_out_of_place_loop(make_problem, op
        base_lr=st.sampled_from([0.01, 1.0, 1e-300]))
 def test_rates_are_lr_at_for_every_step(steps, milestones, divisor, base_lr):
     schedule = StepDecaySchedule(milestones=tuple(milestones), divisor=divisor)
-    for config in (BaselineConfig(learning_rate=base_lr, schedule=schedule),
-                   BaselineConfig(learning_rate=base_lr)):
-        rates = list(config.rates(steps))
+    for config in (SgdConfig(learning_rate=base_lr, schedule=schedule),
+                   AdamConfig(learning_rate=base_lr, schedule=schedule),
+                   SgdConfig(learning_rate=base_lr), AdamConfig(learning_rate=base_lr)):
+        rates = list(step_rates(config, steps))
         assert [rate.hex() for rate in rates] == [
             _rate(config, step, steps).hex() for step in range(steps)]
 
@@ -335,11 +370,11 @@ def test_rates_are_lr_at_for_every_step(steps, milestones, divisor, base_lr):
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_a_baseline_log_holds_one_segment_per_rate(optimizer, schedule):
     steps = 6000
-    config = BaselineConfig(learning_rate=0.05 if optimizer == "sgd" else 0.005,
-                            schedule=StepDecaySchedule() if schedule else None)
+    config = CONFIGS[optimizer](learning_rate=0.05 if optimizer == "sgd" else 0.005,
+                                schedule=StepDecaySchedule() if schedule else None)
     problem = LogisticBlobs(separation=1.0, cluster_std=1.0, rng=rng_streams(6).data)
-    _, log = run_baseline(problem, optimizer, config, steps, rng_streams(6))
-    _, ref_rows = _reference_run(problem, optimizer, config, steps, rng_streams(6))
+    _, log = run_baseline(problem, config, steps, rng_streams(6))
+    _, ref_rows = _reference_run(problem, config, steps, rng_streams(6))
     assert [repr(tuple(row)) for row in log.rows] == [repr(row) for row in ref_rows]
     firsts = [1, 3001, 4501] if schedule else [1]
     assert [(segment.first, segment.update_step) for segment in log.segments] == [

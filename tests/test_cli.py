@@ -2,7 +2,12 @@
 error paths, and the cross-section dump."""
 
 import errno
+import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from hypothesis import strategies as st
 
 from elfopt import cli
 from elfopt.cli import (
+    DEFAULTS,
+    SECTIONS,
     ConfigError,
     RunConfig,
     build_parser,
@@ -107,6 +114,18 @@ def test_config_round_trip_is_lossless():
 
 def test_default_snapshot_is_pinned():
     assert RunConfig().serialize() == "".join(DEFAULT_SNAPSHOT)
+
+
+def test_every_section_key_defaults_to_the_field_it_sets():
+    checked = 0
+    for key, value in DEFAULTS.items():
+        prefix, _, name = key.rpartition(".")
+        if prefix in SECTIONS:
+            cls, names = SECTIONS[prefix]
+            assert name in names, key
+            assert value == inspect.signature(cls).parameters[name].default, key
+            checked += 1
+    assert checked == sum(len(names) for _, names in SECTIONS.values())
 
 
 def test_seventeen_digit_floats_round_trip():
@@ -451,6 +470,26 @@ def test_a_write_that_fails_after_the_run_is_a_config_error(tmp_path, capsys, mo
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == "config error: cannot write the output directory: [Errno 27] File too large\n"
+
+
+def test_a_write_cut_by_a_file_size_limit_leaves_no_partial_artifact(tmp_path):
+    # An 8 KiB file-size limit, set in the child process only, fails the
+    # training_log.csv write after the run. Python ignores SIGXFSZ, so the
+    # write raises EFBIG instead of killing the process.
+    out = tmp_path / "big"
+    code = ("import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (8192, hard))\n"
+            "from elfopt.cli import main\n"
+            f"sys.exit(main(['--steps', '2000', '--quiet', '--out', {str(out)!r}]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path}, timeout=600)
+    assert child.returncode == 1, child.stderr
+    assert child.stderr.splitlines()[0].startswith("config error:")
+    assert "Traceback" not in child.stderr
+    assert [p.name for p in out.iterdir()] == ["config.txt"]
 
 
 def test_help_exits_0(capsys):

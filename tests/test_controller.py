@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elfopt import controller, linesearch
-from elfopt.baselines import BaselineConfig, StepDecaySchedule, run_baseline
+from elfopt.baselines import AdamConfig, SgdConfig, StepDecaySchedule, run_baseline
 from elfopt.controller import (
     DivergenceError,
     ElfConfig,
@@ -368,11 +368,11 @@ def test_each_sgd_step_and_grid_probe_makes_one_fused_oracle_call():
                                     batch_loss_and_gradient=log.count("sgd") + probes)
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_each_baseline_step_makes_one_fused_oracle_call(optimizer):
+@pytest.mark.parametrize("config", [SgdConfig(), AdamConfig()], ids=["sgd", "adam"])
+def test_each_baseline_step_makes_one_fused_oracle_call(config):
     streams = rng_streams(0)
     problem = _counting_logistic(streams)
-    _, log = run_baseline(problem, optimizer, BaselineConfig(), 300, streams)
+    _, log = run_baseline(problem, config, 300, streams)
     assert len(log.rows) == 300
     assert problem.calls == Counter(batch_loss_and_gradient=300)
 
@@ -1016,16 +1016,16 @@ def test_config_that_validates_never_crashes_on_any_problem(elf, line):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    optimizer=st.sampled_from(["sgd", "adam"]),
+    config_class=st.sampled_from([SgdConfig, AdamConfig]),
     learning_rate=_log_scale(-300.0, 300.0),
     divisor=_log_scale(-300.0, 300.0),
     milestones=st.lists(st.floats(0.0, 1.0), max_size=4).map(tuple),
 )
-def test_baseline_config_that_validates_never_crashes(optimizer, learning_rate, divisor,
+def test_baseline_config_that_validates_never_crashes(config_class, learning_rate, divisor,
                                                       milestones):
     steps = 40
     try:
-        config = BaselineConfig(learning_rate=learning_rate, schedule=StepDecaySchedule(
+        config = config_class(learning_rate=learning_rate, schedule=StepDecaySchedule(
             milestones=milestones, divisor=divisor))
     except ValueError:
         return
@@ -1034,7 +1034,7 @@ def test_baseline_config_that_validates_never_crashes(optimizer, learning_rate, 
         problem = make_problem(streams.data)
         with np.errstate(all="ignore"):
             try:
-                _, log = run_baseline(problem, optimizer, config, steps, streams)
+                _, log = run_baseline(problem, config, steps, streams)
             except DivergenceError:
                 continue
         assert len(log.rows) == steps

@@ -13,10 +13,13 @@ from elfopt.regression import (
     STOP_RULE_TOL,
     SampleSet,
     _design,
+    _cv_errors,
     _least_squares,
     _raw_coefficients,
+    _rescaled,
+    _scaled,
+    _unscaled,
     fit_polynomial,
-    kfold_cv_error,
     select_degree_and_fit,
 )
 
@@ -137,17 +140,27 @@ def test_raw_mapping_matches_polynomial_composition(coef, zero_leading, log_half
 # cross-validation
 # ---------------------------------------------------------------------------
 
+def _cv_error(degree, samples, folds, rng):
+    """The k-fold CV error at degree, in the losses' own units: the last
+    error of the sweep select_degree_and_fit runs with max_degree = degree."""
+    losses, e = _scaled(samples.losses)
+    x = _rescaled(samples.positions)[0]
+    errors = [error for error, _ in _cv_errors(x, losses, degree + 1, folds, rng)]
+    assert len(errors) == degree + 1
+    return float(_unscaled(errors[degree], e))
+
+
 def test_perfect_linear_model_has_zero_cv_error():
     positions = np.linspace(0.0, 5.0, 60)
     losses = 2.0 * positions + 1.0
-    err = kfold_cv_error(1, SampleSet(positions, losses), 5, np.random.default_rng(0))
+    err = _cv_error(1, SampleSet(positions, losses), 5, np.random.default_rng(0))
     assert err < 1e-12
 
 
 def test_underfit_has_positive_cv_error():
     positions = np.linspace(0.0, 5.0, 60)
     losses = 2.0 * positions + 1.0
-    err = kfold_cv_error(0, SampleSet(positions, losses), 5, np.random.default_rng(0))
+    err = _cv_error(0, SampleSet(positions, losses), 5, np.random.default_rng(0))
     assert err > 0.1
 
 
@@ -174,17 +187,19 @@ def test_cv_errors_match_explicit_fold_oracle():
     losses += rng.normal(scale=0.05, size=positions.size)
     samples = SampleSet(positions, losses)
     for degree in range(9):
-        ours = kfold_cv_error(degree, samples, 5, np.random.default_rng(degree + 100))
+        ours = _cv_error(degree, samples, 5, np.random.default_rng(degree + 100))
         oracle = _explicit_fold_cv(positions, losses, degree, 5, degree + 100)
         assert ours == pytest.approx(oracle, rel=1e-6)
 
 
 def test_cv_precondition_errors():
     samples = SampleSet(np.arange(4.0), np.arange(4.0))
-    with pytest.raises(ValueError):
-        kfold_cv_error(1, samples, 1, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        kfold_cv_error(1, samples, 5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="folds must be >= 2"):
+        select_degree_and_fit(samples, 1, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="need at least 5 samples"):
+        select_degree_and_fit(samples, 1, 5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="max_degree must be >= 0"):
+        select_degree_and_fit(samples, -1, 2, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +431,7 @@ def test_sweep_decides_and_refits_as_the_full_width_sweep(
                                    rtol=1e-12, atol=floor)
     # The first block's errors do not depend on how many columns a sweep asks for.
     degree = min(FIRST_BLOCK, report.cv_test_errors.size) - 1
-    error = kfold_cv_error(degree, samples, folds, np.random.default_rng(seed))
+    error = _cv_error(degree, samples, folds, np.random.default_rng(seed))
     assert error == report.cv_test_errors[degree]
 
 
@@ -434,7 +449,7 @@ def test_losses_scaled_by_a_power_of_two_decide_alike(exponent):
     with np.errstate(over="ignore"):
         want = np.ldexp(base.cv_test_errors, 2 * exponent)
     assert report.cv_test_errors.tobytes() == want.tobytes()
-    error = kfold_cv_error(2, scaled, 5, np.random.default_rng(3))
+    error = _cv_error(2, scaled, 5, np.random.default_rng(3))
     assert error == want[2]
 
 
