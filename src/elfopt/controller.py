@@ -147,12 +147,13 @@ class TrainingLog:
 @dataclass
 class OptimizerState:
     """A run's parameters, step size and trigger state. The step window's SGD
-    losses are window_losses[:window_count], a reused buffer doubled when full."""
+    losses are window_losses[:window_count]; run gives the buffer window_size + 1
+    slots, the most a window holds between resets (search phases, boundaries)."""
 
     theta: np.ndarray
     momentum_buffer: np.ndarray
     update_step: float = 0.0
-    window_losses: np.ndarray = field(default_factory=lambda: np.empty(256))
+    window_losses: np.ndarray = field(default_factory=lambda: np.empty(0))
     window_count: int = 0
     last_mean_loss: float = 0.0
     t_of_last_update: int = -1
@@ -363,7 +364,7 @@ def run(
     if steps_to_train < 1:
         raise ValueError("steps_to_train must be >= 1")
     theta = np.asarray(problem.initial_theta(streams.theta_init), dtype=float).copy()
-    state = OptimizerState(theta=theta, momentum_buffer=np.zeros_like(theta))
+    state = OptimizerState(theta, np.zeros_like(theta), window_losses=np.empty(config.window_size + 1))
     train_stream = BatchStream(problem.train_batches, streams.train_order)
     sample_stream = (BatchStream(problem.validation_batches, streams.val_order)
                      if config.sample_from_validation else train_stream)
@@ -401,7 +402,7 @@ def run(
                 continue
             # Zero-norm search direction everywhere: no batch was loaded,
             # so take an SGD step to keep the run progressing.
-        elif on_boundary and state.window_count:
+        elif on_boundary:
             # Window boundary without a search: roll the reference level
             # so real_improvement keeps measuring progress over the most
             # recent step window (a plateau then reads as ~0).
@@ -415,8 +416,6 @@ def _sgd_step(problem, state, train_stream, expected=None, real=None):
     """One unit-gradient SGD step: the displacement norm equals update_step."""
     loss, state.theta = _unit_step(
         problem, train_stream, state.theta, state.update_step, state, "sgd", expected, real)
-    if state.window_count == state.window_losses.size:
-        state.window_losses = np.concatenate((state.window_losses, state.window_losses))
     state.window_losses[state.window_count] = loss
     state.window_count += 1
 

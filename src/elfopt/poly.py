@@ -24,8 +24,12 @@ NEWTON_POLISH_STEPS = 2
 # and a double root that comes back as a near-real pair about
 # ROOT_IMAG_TOL**2 times a power of 2 in the degree. An eigenvalue lost to
 # rounding among coefficients of very different sizes lies further out: at
-# 1/2 for p(0) = 1 on [0, 1], p = 1 + 2.5e-251 s + s**2 + 6.5e-180 s**3.
+# 8.7e-5 for the one that a far root at -1.16e15 puts at 0.25 (polished to
+# 0.0985) on [0, 5.15], p = -4.55e-12 - 7.45e17 s + 9.97e18 s**2 + 8572 s**3.
 ROOT_VALUE_TOL = 1e-8
+# A top coefficient whose term on the bracket is within this fraction of
+# p's largest term is dropped before the eigenvalues are taken.
+NEGLIGIBLE_TERM = float(np.finfo(float).eps)
 # Two crossings whose anchor distances differ by less than this are a tie.
 TIE_TOL = 1e-8
 
@@ -81,8 +85,9 @@ def derivative(p: Polynomial) -> Polynomial:
 def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
     """Sorted, distinct real roots of p inside the closed bracket [lo, hi].
 
-    Roots are the eigenvalues of p's companion matrix. The near-real ones in
-    the bracket are polished by Newton steps on p, and a polished root
+    Roots are the eigenvalues of the companion matrix of p less its top
+    coefficients whose terms are negligible on the bracket. The near-real
+    ones in the bracket are polished by Newton steps on p, and a polished root
     replaces its eigenvalue only where it shrinks |p|. A root whose |p| is
     past ROOT_VALUE_TOL of p's size on the bracket is no root of p and is
     dropped. A cluster of roots within the tolerance (a multiple root) is
@@ -92,24 +97,28 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"bracket must be a finite non-empty interval, got {bracket}")
-    trimmed = p.coefficients.tolist()
-    while len(trimmed) > 1 and trimmed[-1] == 0.0:
-        trimmed.pop()
-    coef = p.coefficients[: len(trimmed)]
+    # p's terms c_k s**k on the bracket's power-of-two scale 2**e, e the
+    # exponent of its largest |end|: c_k 2**(e k) over the largest such
+    # term's power of two, by exact ldexp, so each is below 1 in size and
+    # none overflows. The top coefficients whose term is negligible next to
+    # the largest are dropped: the companion eigenvalues of such a tiny
+    # leading coefficient lose p's roots to rounding.
+    scale = math.frexp(max(abs(lo), abs(hi)))[1]
+    raw = p.coefficients.tolist()
+    top = max((math.frexp(c)[1] + scale * k for k, c in enumerate(raw) if c != 0.0), default=0)
+    scaled = [math.ldexp(c, scale * k - top) for k, c in enumerate(raw)]
+    negligible = NEGLIGIBLE_TERM * max(map(abs, scaled))
+    while len(scaled) > 1 and abs(scaled[-1]) <= negligible:
+        scaled.pop()
+    n = len(scaled) - 1
+    trimmed, coef = raw[: n + 1], p.coefficients[: n + 1]
     # Where the companion matrix, -coef[:-1] / coef[-1], would not be finite
     # (Python floats overflow to inf silently), the roots are u = s / 2**e of
-    # p(2**e * u), 2**e the bracket's scale, on coefficients rescaled by
-    # exact ldexp and cut to normal floats.
+    # p(2**e * u), on the scaled coefficients.
     exponent = 0
     if not all(math.isfinite(c / trimmed[-1]) for c in trimmed[:-1]):
-        with np.errstate(over="ignore"):
-            exponent = int(np.frexp(max(abs(lo), abs(hi)))[1])
-            shift = exponent * np.arange(coef.size)
-            coef = np.ldexp(coef, shift - (np.frexp(coef)[1] + shift)[coef != 0].max())
-            coef = coef[: np.flatnonzero(np.abs(coef) >= np.finfo(float).tiny)[-1] + 1]
-            lo, hi = float(np.ldexp(lo, -exponent)), float(np.ldexp(hi, -exponent))
-        trimmed = coef.tolist()
-    n = len(trimmed) - 1
+        exponent, trimmed, coef = scale, scaled, np.array(scaled)
+        lo, hi = math.ldexp(lo, -exponent), math.ldexp(hi, -exponent)
     if n > 1:  # polyroots: the sorted eigenvalues of polycompanion's matrix
         matrix = np.zeros((n, n))
         matrix.reshape(-1)[n::n + 1] = 1

@@ -1,11 +1,13 @@
 """numpy.polynomial-based reference for elfopt.poly, used only by tests.
 
 evaluate, derivative and real_roots_in call npoly.polyval, npoly.polyder and
-npoly.polyroots; real_roots_in drops, as elfopt.poly does, an eigenvalue
-whose |p| is past ROOT_VALUE_TOL of p's size on the bracket, where
-npoly.polyroots alone would return it. closest_minimum_to_zero and
-solve_for_value_nearest read their answers off those with whole-array numpy
-operations. elfopt.poly must return the same bits as these on every input.
+npoly.polyroots; real_roots_in drops, as elfopt.poly does, the top
+coefficients whose terms on the bracket's power-of-two scale npoly.polytrim
+cuts at NEGLIGIBLE_TERM of the largest, and an eigenvalue whose |p| is past
+ROOT_VALUE_TOL of p's size on the bracket, where npoly.polyroots alone would
+return it. closest_minimum_to_zero and solve_for_value_nearest read their
+answers off those with whole-array numpy operations. elfopt.poly must return
+the same bits as these on every input.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from elfopt.poly import NEWTON_POLISH_STEPS, ROOT_IMAG_TOL, ROOT_VALUE_TOL, TIE_TOL, Polynomial
+from elfopt.poly import (NEGLIGIBLE_TERM, NEWTON_POLISH_STEPS, ROOT_IMAG_TOL, ROOT_VALUE_TOL,
+                         TIE_TOL, Polynomial)
 
 
 def evaluate(p: Polynomial, s):
@@ -29,17 +32,20 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         raise ValueError(f"bracket must be a finite non-empty interval, got {bracket}")
-    nonzero = np.flatnonzero(p.coefficients)
-    if nonzero.size == 0 or nonzero[-1] == 0:
+    coef = p.coefficients
+    if not coef.any():
         return np.empty(0)
-    coef = p.coefficients[: nonzero[-1] + 1]
+    scale = int(np.frexp(max(abs(lo), abs(hi)))[1])
+    shift = scale * np.arange(coef.size)
+    scaled = np.ldexp(coef, shift - (np.frexp(coef)[1] + shift)[coef != 0].max())
+    scaled = npoly.polytrim(scaled, NEGLIGIBLE_TERM * np.abs(scaled).max())
+    if scaled.size == 1:
+        return np.empty(0)
+    coef = coef[: scaled.size]
     exponent = 0
     with np.errstate(over="ignore"):
         if not np.isfinite(coef[:-1] / coef[-1]).all():
-            exponent = int(np.frexp(max(abs(lo), abs(hi)))[1])
-            shift = exponent * np.arange(coef.size)
-            coef = np.ldexp(coef, shift - (np.frexp(coef)[1] + shift)[coef != 0].max())
-            coef = coef[: np.flatnonzero(np.abs(coef) >= np.finfo(float).tiny)[-1] + 1]
+            exponent, coef = scale, scaled
             lo, hi = float(np.ldexp(lo, -exponent)), float(np.ldexp(hi, -exponent))
     eigenvalues = npoly.polyroots(coef)
     tolerance = ROOT_IMAG_TOL * max(abs(lo), abs(hi))

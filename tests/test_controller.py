@@ -820,8 +820,8 @@ def test_window_mean_is_np_mean_over_the_windows_losses(monkeypatch):
     """Replays the trigger's bookkeeping from the log: each sgd row's
     real_improvement is the reference level minus np.mean of the SGD losses
     since the last reset, and a search phase leaves the window's np.mean less
-    the fitted improvements its steps applied. Windows of 600 outgrow the
-    loss buffer's starting size."""
+    the fitted improvements its steps applied. A window of 600 fills all 601
+    slots of its buffer."""
     phases = {}
     trigger = controller.trigger_line_searches
 
@@ -868,9 +868,46 @@ def test_window_mean_is_np_mean_over_the_windows_losses(monkeypatch):
             window.append(row.train_loss)
             longest = max(longest, len(window))
         i += 1
-    initial_capacity = controller.OptimizerState(np.zeros(1), np.zeros(1)).window_losses.size
-    assert longest > initial_capacity
+    assert longest == state.window_losses.size == config.window_size + 1
     assert rolls > 0 and len(phases) > 2
+
+
+@pytest.mark.parametrize("grid_search", [True, False], ids=["grid", "no-grid"])
+@pytest.mark.parametrize("window_size", [1, 2, 7, 150, 600])
+@pytest.mark.parametrize("name", ["quadratic", "logistic-hard", "mlp"])
+def test_a_run_keeps_its_window_in_one_buffer_of_window_size_plus_one(
+        monkeypatch, name, window_size, grid_search):
+    """Every SGD step leaves at most window_size + 1 losses in the window,
+    in the buffer run started with, and every boundary finds the window
+    non-empty, so its mean is never the empty window's nan."""
+    seen = {"boundaries": 0}
+    sgd_step, terms = controller._sgd_step, controller.trigger_terms
+
+    def spy_step(problem, state, *args):
+        buffer = seen.setdefault("buffer", state.window_losses)
+        sgd_step(problem, state, *args)
+        assert state.window_losses is buffer
+        assert 1 <= state.window_count <= window_size + 1
+        seen["state"] = state
+
+    def spy_terms(*args):
+        fires, on_boundary, real, expected = terms(*args)
+        if on_boundary:
+            seen["boundaries"] += 1
+            assert seen["state"].window_count > 0
+        return fires, on_boundary, real, expected
+
+    monkeypatch.setattr(controller, "_sgd_step", spy_step)
+    monkeypatch.setattr(controller, "trigger_terms", spy_terms)
+    make_problem, _ = PINNED_DECISIONS[name]
+    config = ElfConfig(window_size=window_size)
+    if not grid_search:
+        config = replace(config, grid_search_probe_steps=0)
+    streams = rng_streams(0)
+    state, _ = run(make_problem(streams.data), config, 6000, streams)
+    assert state.window_losses is seen["buffer"]
+    assert state.window_losses.size == window_size + 1
+    assert seen["boundaries"] > 0
 
 
 # ---------------------------------------------------------------------------

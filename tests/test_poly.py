@@ -181,12 +181,15 @@ def test_real_roots_in_a_huge_bracket_whose_companion_matrix_overflows():
 @pytest.mark.parametrize("coef, bracket", [
     ([1.0, 2.5e-251, 1.0, 6.5e-180], (0.0, 1.0)),
     ([-0.0, -9.3e-56, -8.7e-211], (-1.07e155, 0.0)),
-], ids=["newton-step-to-4e250", "roots-near-1e155"])
+    ([1.5, -1.2e-240, 6e184], (0.0, 1.0)),
+], ids=["newton-step-to-4e250", "roots-near-1e155", "newton-step-to-1e240"])
 def test_newton_polish_past_the_float_range_returns_the_roots_without_a_warning(coef, bracket):
-    # The polish evaluates p at s**k: the first case's Newton step from its
-    # eigenvalue lands near -4e250, the second's root lies near 1e155, and
-    # both overflow there. numpy.polynomial's reference warns of it; the
-    # kernel must not, and must return what the reference does.
+    # The polish evaluates p at s**k: the third case's Newton step from its
+    # eigenvalue at 0 lands near 1.25e240, the second's root lies near 1e155,
+    # and both overflow there. numpy.polynomial's reference warns of it; the
+    # kernel must not, and must return what the reference does. The first
+    # case's step lands near -4e250 only with its s**3 term, negligible on
+    # the bracket and trimmed, so no eigenvalue is left to polish.
     p = Polynomial(coef)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -289,17 +292,32 @@ def test_derivative_matches_central_differences():
 @pytest.mark.parametrize("coef, bracket", [
     # Rounding at the 1e179 scale turns the pair +-i into eigenvalues 0, 0.
     ([1.0, 2.5e-251, 1.0, 6.5e-180], (0.0, 1.0)),
-    # A tiny leading coefficient: numpy's eigenvalues put a root at 0,
-    # where p(0) = -1.83; the real one, near 1.09, is lost to rounding.
-    ([-1.8287524895878065, 0.15, -9.038750516890186, -0.6220019595646313,
-      5.090257364117816, 3.93056834205246, -8.720773804823638e-132], (0.0, 4.995288778091057)),
 ])
 def test_an_eigenvalue_that_is_no_root_of_p_is_dropped(coef, bracket):
-    # Both eigenvalue sets hold an exact 0, where p(0) = c0 is far from 0.
+    # The eigenvalue set holds an exact 0, where p(0) = c0 is far from 0.
     with np.errstate(over="ignore", invalid="ignore"):
         eigenvalues = npoly.polyroots(np.array(coef))
     assert np.any((eigenvalues.real == 0.0) & (eigenvalues.imag == 0.0))
     assert real_roots_in(Polynomial(coef), bracket).size == 0
+
+
+def test_a_negligible_leading_coefficient_keeps_the_roots_of_the_rest():
+    # numpy's eigenvalues of the full p put a root at 0, where p(0) = -1.83,
+    # and lose the real one near 1.09 to rounding. The s**6 term is at most
+    # ~1.4e-127 on the bracket, against terms of order 1 to 1e4, so the
+    # roots are those of the degree-5 part.
+    coef = [-1.8287524895878065, 0.15, -9.038750516890186, -0.6220019595646313,
+            5.090257364117816, 3.93056834205246, -8.720773804823638e-132]
+    bracket = (0.0, 4.995288778091057)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigenvalues = npoly.polyroots(np.array(coef))
+    assert not np.any(np.abs(eigenvalues - 1.089279) < 1e-3)
+
+    roots = real_roots_in(Polynomial(coef), bracket)
+
+    np.testing.assert_allclose(roots, [1.089279], rtol=0.0, atol=1e-6)
+    assert roots.tobytes() == real_roots_in(Polynomial(coef[:-1]), bracket).tobytes()
+    assert roots.tobytes() == reference.real_roots_in(Polynomial(coef), bracket).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +365,11 @@ def _coefficients_and_bracket(draw):
                         -333 * np.arange(5)), (0.0, np.ldexp(1.0, 334))),
          s=7.0, target=0.0, anchor_share=0.3)
 @example(case=(np.array([-5.0, 0.0]), (0.0, 1.0)), s=0.0, target=5.0, anchor_share=0.5)
+# A far root at -1.16e15 skews the eigenvalues: the root near 0.0747 comes
+# back as 0.25, which the polish takes to 0.0985, no root of p, so it is dropped.
+@example(case=(np.array([-4.554795157647876e-12, -7.454124381524744e+17,
+                         9.973417347297436e+18, 8571.982856969384]), (0.0, 5.153736290538894)),
+         s=1.0, target=1.0, anchor_share=0.5)
 def test_kernel_returns_numpy_polynomials_bits(case, s, target, anchor_share):
     coef, bracket = case
     p = Polynomial(coef)
