@@ -42,8 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import AdamConfig, SgdConfig, StepDecaySchedule, run_baseline
-from .controller import (DivergenceError, ElfConfig, LogRow, TrainingLog, euclidean_norm, run,
-                         unit_vector)
+from .controller import DivergenceError, ElfConfig, LogRow, TrainingLog, run, unit_vector
 from .linesearch import LineSearchConfig
 from .problems import LogisticBlobs, MlpBlobs, NoisyQuadraticEnsemble, cross_section_profile
 from .seeding import rng_streams
@@ -317,14 +316,12 @@ def dump_cross_section(config: RunConfig) -> int:
 
     mode = config["cross_section.direction"]
     if mode == "batch_gradient":
-        gradient = problem.batch_gradient(theta0, problem.train_batches[0])
-        norm = euclidean_norm(gradient)
-        if norm == 0.0:
-            raise ConfigError("zero gradient at the initial parameters; use direction=random")
-        direction = unit_vector(-gradient, norm)
+        direction = unit_vector(-problem.batch_gradient(theta0, problem.train_batches[0]))
+        if direction is None:
+            raise ConfigError(
+                "zero or non-finite gradient at the initial parameters; use direction=random")
     elif mode == "random":
-        vector = streams.line_search.normal(size=theta0.size)
-        direction = unit_vector(vector, euclidean_norm(vector))
+        direction = unit_vector(streams.line_search.normal(size=theta0.size))
     else:
         raise ConfigError(f"unknown cross_section.direction {mode!r}")
 

@@ -64,6 +64,9 @@ class ElfConfig:
             raise ValueError("decrease_factor_delta must lie in [0, 1)")
         if self.lines_to_average < 1:
             raise ValueError("lines_to_average must be >= 1")
+        if not self.grid_search_candidates:
+            raise ValueError("grid_search_candidates must not be empty; "
+                             "set grid_search_probe_steps=0 to skip the grid search")
         # The selected candidate becomes the line search's first interval width.
         if not all(MIN_INTERVAL_WIDTH <= c < math.inf for c in self.grid_search_candidates):
             raise ValueError(f"grid_search_candidates must lie in [{MIN_INTERVAL_WIDTH:g}, inf)")
@@ -172,27 +175,24 @@ class OptimizerState:
         return float(np.add.reduce(self.window_losses[:k])) / k if k else math.nan
 
 
-def euclidean_norm(vector: np.ndarray) -> float:
-    """np.linalg.norm(vector) of a 1-D float array, bit for bit, except
-    where its sum of squares overflows: finite entries past about 1e154 are
-    then divided by the largest |entry| first. np.vdot, unlike the dot
-    np.linalg.norm takes, warns of no overflow."""
+def unit_vector(vector: np.ndarray) -> np.ndarray | None:
+    """vector / np.linalg.norm(vector) of a 1-D float array, bit for bit, or
+    None where that norm is not positive (a zero vector, or a nan entry).
+    Where the sum of squares overflows though every entry is finite (entries
+    past about 1e154), the norm is taken of the vector over its largest
+    |entry| and scaled back; where even that norm passes the float range,
+    the scaled vector is divided by its own norm, so the result still has
+    unit norm instead of being zero. np.vdot, unlike the dot np.linalg.norm
+    takes, warns of no overflow."""
     norm = math.sqrt(np.vdot(vector, vector))
     if norm == math.inf and np.isfinite(vector).all():
         scale = float(np.max(np.abs(vector)))
         scaled = np.divide(vector, scale)
-        norm = scale * math.sqrt(np.vdot(scaled, scaled))
-    return norm
-
-
-def unit_vector(vector: np.ndarray, norm: float) -> np.ndarray:
-    """vector / norm, where norm = euclidean_norm(vector) > 0. A finite vector
-    whose norm passes the float range (norm is inf) is divided by its largest
-    |entry| first, so the result still has unit norm instead of being zero."""
-    if norm == math.inf and np.isfinite(vector).all():
-        vector = vector / np.max(np.abs(vector))
-        norm = euclidean_norm(vector)
-    return vector / norm
+        scaled_norm = math.sqrt(np.vdot(scaled, scaled))
+        norm = scale * scaled_norm
+        if norm == math.inf:
+            vector, norm = scaled, scaled_norm
+    return vector / norm if norm > 0.0 else None
 
 
 def trigger_terms(
@@ -297,10 +297,9 @@ def trigger_line_searches(
     for _ in range(config.lines_to_average):
         gradient = problem.batch_gradient(state.theta, state.current_batch)
         state.momentum_buffer = config.momentum_beta * state.momentum_buffer + gradient
-        norm = euclidean_norm(state.momentum_buffer)
-        if norm == 0.0:
+        direction = unit_vector(-state.momentum_buffer)
+        if direction is None:
             continue
-        direction = unit_vector(-state.momentum_buffer, norm)
         theta0 = state.theta.copy()
 
         def oracle(s: np.ndarray) -> np.ndarray:
@@ -369,7 +368,7 @@ def run(
     sample_stream = (BatchStream(problem.validation_batches, streams.val_order)
                      if config.sample_from_validation else train_stream)
 
-    if config.grid_search_probe_steps > 0 and config.grid_search_candidates:
+    if config.grid_search_probe_steps > 0:
         selected = initial_grid_search(problem, config, train_stream, state)
         state.update_step = float(selected)
         config = replace(config, line_search=replace(
@@ -400,7 +399,7 @@ def run(
             )
             if state.t > t_before:
                 continue
-            # Zero-norm search direction everywhere: no batch was loaded,
+            # unit_vector gave no search direction: no batch was loaded,
             # so take an SGD step to keep the run progressing.
         elif on_boundary:
             # Window boundary without a search: roll the reference level
@@ -423,10 +422,10 @@ def _sgd_step(problem, state, train_stream, expected=None, real=None):
 def _unit_step(problem, stream, theta, step, state, event, expected=None, real=None):
     """Load one batch into state.current_batch, record its loss at theta with
     step as the row's update_step, and return (loss, theta moved by step along
-    the batch's normalized negative gradient, or theta itself when the
-    gradient is zero)."""
+    the batch's normalized negative gradient, or theta itself when
+    unit_vector gives none)."""
     state.current_batch = stream.next_batch()
     loss, gradient = loss_and_gradient(problem, theta, state.current_batch)
     state.log.record(event, [loss], step, expected, real)
-    norm = euclidean_norm(gradient)
-    return loss, theta - step * unit_vector(gradient, norm) if norm > 0.0 else theta
+    direction = unit_vector(gradient)
+    return loss, theta if direction is None else theta - step * direction

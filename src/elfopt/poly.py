@@ -113,19 +113,20 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
     n = len(scaled) - 1
     trimmed, coef = raw[: n + 1], p.coefficients[: n + 1]
     # Where the companion matrix, -coef[:-1] / coef[-1], would not be finite
-    # (Python floats overflow to inf silently), the roots are u = s / 2**e of
-    # p(2**e * u), on the scaled coefficients.
+    # (Python floats overflow to inf silently), or its eigenvalues do not
+    # converge, the roots are u = s / 2**e of p(2**e * u), on the scaled
+    # coefficients.
+    eigenvalues = None
+    if all(math.isfinite(c / trimmed[-1]) for c in trimmed[:-1]):
+        try:
+            eigenvalues = _eigenvalues(trimmed)
+        except np.linalg.LinAlgError:
+            pass
     exponent = 0
-    if not all(math.isfinite(c / trimmed[-1]) for c in trimmed[:-1]):
+    if eigenvalues is None:
         exponent, trimmed, coef = scale, scaled, np.array(scaled)
         lo, hi = math.ldexp(lo, -exponent), math.ldexp(hi, -exponent)
-    if n > 1:  # polyroots: the sorted eigenvalues of polycompanion's matrix
-        matrix = np.zeros((n, n))
-        matrix.reshape(-1)[n::n + 1] = 1
-        matrix[:, -1] -= np.divide(trimmed[:-1], trimmed[-1])
-        eigenvalues = np.sort(np.linalg.eigvals(matrix)).tolist()
-    else:
-        eigenvalues = [-trimmed[0] / trimmed[1]] if n else []
+        eigenvalues = _eigenvalues(trimmed)
     tolerance = ROOT_IMAG_TOL * max(abs(lo), abs(hi))
     roots = [r.real for r in eigenvalues if abs(r.imag) <= tolerance and lo <= r.real <= hi]
     if not roots:
@@ -166,6 +167,18 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
                    if lo <= root <= hi and not ROOT_VALUE_TOL * size < residual < math.inf)
     distinct = [r for r, before in zip(roots, [-math.inf, *roots]) if r - before > tolerance]
     return np.ldexp(distinct, exponent) if exponent else np.array(distinct)
+
+
+def _eigenvalues(terms: list[float]) -> list[complex]:
+    """polyroots of the ascending terms: the sorted eigenvalues of
+    polycompanion's matrix, or the one root of a linear polynomial."""
+    n = len(terms) - 1
+    if n > 1:
+        matrix = np.zeros((n, n))
+        matrix.reshape(-1)[n::n + 1] = 1
+        matrix[:, -1] -= np.divide(terms[:-1], terms[-1])
+        return np.sort(np.linalg.eigvals(matrix)).tolist()
+    return [-terms[0] / terms[1]] if n else []
 
 
 def closest_minimum_to_zero(

@@ -23,8 +23,11 @@ that uses it when present and falls back to the required ones otherwise:
 - batch_loss_and_gradient(theta, batch) returns (loss, gradient) from one
   forward pass, for the loads that need both; the fallback is
   (float(batch_loss), batch_gradient). All three problems define it and
-  derive batch_gradient from it; NoisyQuadraticEnsemble's loss and
-  gradient share only theta - center, which it computes once.
+  derive batch_gradient from it, and the quadratic and logistic ones
+  batch_loss too, so each loss has one formula; MlpBlobs keeps a
+  forward-only batch_loss, as its backprop costs several forward passes.
+  NoisyQuadraticEnsemble's loss and gradient share only theta - center,
+  which it computes once.
 """
 
 from __future__ import annotations
@@ -180,18 +183,17 @@ class NoisyQuadraticEnsemble:
         self.validation_batches = indices[n_batches - n_val:] if n_batches > 1 else indices
 
     def batch_loss(self, theta, batch: int) -> float:
-        # (0.5 d).dot(A).dot(d) sums as 0.5 * d @ A @ d does, at less cost
-        # per call. At dim 1 ndarray.dot multiplies directly and may keep a
-        # -0.0 that np.matmul's sum from +0.0 does not; adding the offset,
-        # never -0.0, clears it, but the gradient A @ d keeps np.matmul.
-        d = np.asarray(theta, dtype=float) - self.centers[batch]
-        return float((0.5 * d).dot(self.matrices[batch]).dot(d) + self.offsets[batch])
+        return self.batch_loss_and_gradient(theta, batch)[0]
 
     def batch_gradient(self, theta, batch: int) -> np.ndarray:
         return self.batch_loss_and_gradient(theta, batch)[1]
 
     def batch_loss_and_gradient(self, theta, batch: int) -> tuple[float, np.ndarray]:
-        # One theta - center for both; the loss is summed as batch_loss sums it.
+        # One theta - center for both. (0.5 d).dot(A).dot(d) sums as
+        # 0.5 * d @ A @ d does, at less cost per call. At dim 1 ndarray.dot
+        # multiplies directly and may keep a -0.0 that np.matmul's sum from
+        # +0.0 does not; adding the offset, never -0.0, clears it, but the
+        # gradient A @ d keeps np.matmul.
         d = np.asarray(theta, dtype=float) - self.centers[batch]
         a = self.matrices[batch]
         return float((0.5 * d).dot(a).dot(d) + self.offsets[batch]), a @ d
@@ -347,6 +349,9 @@ class _Blobs:
         self.train_batches = _split_batches(x[:n_train], labels[:n_train], batch_size)
         self.validation_batches = _split_batches(x[n_train:], labels[n_train:], batch_size)
 
+    def batch_loss(self, theta, batch) -> float:
+        return self.batch_loss_and_gradient(theta, batch)[0]
+
     def batch_gradient(self, theta, batch) -> np.ndarray:
         return self.batch_loss_and_gradient(theta, batch)[1]
 
@@ -392,12 +397,6 @@ class LogisticBlobs(_Blobs):
         z += theta[-1]
         return z
 
-    def batch_loss(self, theta, batch) -> float:
-        x, y = batch
-        z = self._logits(theta, x)
-        # log(1 + e^z) - y*z, computed stably
-        return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
     def batch_losses_along(self, theta0, direction, s, batches) -> np.ndarray:
         # Per-sample parameters cost only len(s) x dim floats and keep
         # batch_loss's order of operations; the split x@w0 + s*(x@u) would
@@ -409,8 +408,9 @@ class LogisticBlobs(_Blobs):
         return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
 
     def batch_loss_and_gradient(self, theta, batch) -> tuple[float, np.ndarray]:
-        # One set of logits for both; np.add.reduce(a) / a.size is np.mean's
-        # own arithmetic on a 1-D array, without its call overhead.
+        # One set of logits for both. The loss is the mean of log(1 + e^z) -
+        # y*z, computed stably; np.add.reduce(a) / a.size is np.mean's own
+        # arithmetic on a 1-D array, without its call overhead.
         x, y = batch
         z = self._logits(theta, x)
         per_sample = np.logaddexp(0.0, z)
@@ -514,6 +514,8 @@ class MlpBlobs(_Blobs):
         return np.mean(log_norm[..., 0] - picked.reshape(y.shape), axis=-1), log_norm
 
     def batch_loss(self, theta, batch) -> float:
+        # Forward only: at 256 x 256 the fused oracle's backprop costs
+        # ~1,445 us a load against ~295 us for this.
         x, y = batch
         _, _, logits = self._trunk(self._unpack(theta), x)
         return float(self._cross_entropy(logits, y)[0])

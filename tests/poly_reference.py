@@ -5,8 +5,10 @@ npoly.polyroots; real_roots_in drops, as elfopt.poly does, the top
 coefficients whose terms on the bracket's power-of-two scale npoly.polytrim
 cuts at NEGLIGIBLE_TERM of the largest, and an eigenvalue whose |p| is past
 ROOT_VALUE_TOL of p's size on the bracket, where npoly.polyroots alone would
-return it. closest_minimum_to_zero and solve_for_value_nearest read their
-answers off those with whole-array numpy operations. elfopt.poly must return
+return it. Where the raw coefficients' eigenvalues do not converge, it takes
+those of the power-of-two-scaled ones, as elfopt.poly does.
+closest_minimum_to_zero and solve_for_value_nearest read their answers off
+those with whole-array numpy operations. elfopt.poly must return
 the same bits as these on every input.
 """
 
@@ -42,12 +44,18 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
     if scaled.size == 1:
         return np.empty(0)
     coef = coef[: scaled.size]
-    exponent = 0
+    eigenvalues = None
     with np.errstate(over="ignore"):
-        if not np.isfinite(coef[:-1] / coef[-1]).all():
-            exponent, coef = scale, scaled
-            lo, hi = float(np.ldexp(lo, -exponent)), float(np.ldexp(hi, -exponent))
-    eigenvalues = npoly.polyroots(coef)
+        if np.isfinite(coef[:-1] / coef[-1]).all():
+            try:
+                eigenvalues = npoly.polyroots(coef)
+            except np.linalg.LinAlgError:   # the eigenvalues did not converge
+                pass
+    exponent = 0
+    if eigenvalues is None:
+        exponent, coef = scale, scaled
+        lo, hi = float(np.ldexp(lo, -exponent)), float(np.ldexp(hi, -exponent))
+        eigenvalues = npoly.polyroots(coef)
     tolerance = ROOT_IMAG_TOL * max(abs(lo), abs(hi))
     roots = eigenvalues.real[np.abs(eigenvalues.imag) <= tolerance]
     roots = roots[(roots >= lo) & (roots <= hi)]

@@ -519,6 +519,7 @@ def test_line_search_config_errors_exit_1_before_training(tmp_path, capsys, sett
     ["--set", "elf.grid_search_candidates=0"],
     ["--set", "elf.grid_search_candidates=nan"],
     ["--set", "elf.grid_search_candidates=1e-200"],
+    ["--set", "elf.grid_search_candidates="],
     ["--set", "elf.grid_search_probe_steps=-1"],
     ["--set", "quadratic.dim=0"],
     ["--problem", "logistic", "--set", "logistic.n_train=-100"],

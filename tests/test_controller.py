@@ -22,11 +22,11 @@ from elfopt.controller import (
     OptimizerState,
     TrainingLog,
     apply_decrease_factor,
-    euclidean_norm,
     initial_grid_search,
     run,
     trigger_line_searches,
     trigger_terms,
+    unit_vector,
 )
 from elfopt.linesearch import LineSearchConfig
 from elfopt.poly import Polynomial, evaluate
@@ -338,7 +338,7 @@ class CountingLogistic(LogisticBlobs):
 
     def batch_loss(self, theta, batch):
         self.calls["batch_loss"] += 1
-        return super().batch_loss(theta, batch)
+        return super().batch_loss_and_gradient(theta, batch)[0]
 
     def batch_gradient(self, theta, batch):
         self.calls["batch_gradient"] += 1
@@ -597,24 +597,30 @@ def test_record_keeps_equal_but_distinct_cells_apart():
     assert first == [1.0] and len(log) == 8 and log.count("sgd") == 7
 
 
-def test_euclidean_norm_is_np_linalg_norm_on_ordinary_vectors():
+def test_unit_vector_is_the_numpy_quotient_on_ordinary_vectors():
     rng = np.random.default_rng(0)
-    vectors = [np.zeros(3), np.array([np.inf, 1.0]), np.array([np.nan, 1.0]),
-               *(rng.normal(size=size) * 10.0**exponent
-                 for size in (1, 2, 20, 451) for exponent in (-300, -150, -3, 0, 3, 150))]
+    vectors = [rng.normal(size=size) * 10.0**exponent
+               for size in (1, 2, 20, 451) for exponent in (-300, -150, -3, 0, 3, 150)]
     for vector in vectors:
-        assert euclidean_norm(vector).hex() == float(np.linalg.norm(vector)).hex()
+        norm = np.linalg.norm(vector)
+        if norm > 0.0:
+            assert unit_vector(vector).tobytes() == (vector / norm).tobytes()
+        else:   # the sum of squares underflows at 1e-300
+            assert unit_vector(vector) is None
+    # No direction where the norm is not positive.
+    assert unit_vector(np.zeros(3)) is None
+    assert unit_vector(np.array([np.nan, 1.0])) is None
 
 
-def test_euclidean_norm_of_entries_past_1e154_is_finite_and_warns_of_nothing():
+def test_unit_vector_of_entries_past_1e154_warns_of_nothing():
     vector = np.full(20, 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        norm = euclidean_norm(vector)
-        assert norm == 1e200 * euclidean_norm(vector / 1e200)
+        assert unit_vector(vector).tobytes() == (
+            vector / (1e200 * np.linalg.norm(vector / 1e200))).tobytes()
         mixed = np.random.default_rng(1).normal(size=50) * 1e250
-        assert euclidean_norm(mixed) == pytest.approx(1e250 * np.linalg.norm(mixed / 1e250),
-                                                      rel=1e-15)
+        expected = mixed / (1e250 * np.linalg.norm(mixed / 1e250))
+        np.testing.assert_allclose(unit_vector(mixed), expected, rtol=1e-15)
 
 
 def test_unit_step_moves_its_step_along_a_gradient_past_1e154():
@@ -636,27 +642,30 @@ def test_unit_step_moves_its_step_along_a_gradient_whose_norm_passes_the_float_r
         def batch_loss_and_gradient(self, theta, batch):
             return 1.0, gradient.copy()
 
-    assert euclidean_norm(gradient) == math.inf
+    with np.errstate(over="ignore"):
+        assert np.linalg.norm(gradient) == math.inf
     state = OptimizerState(theta=np.zeros(gradient.size), momentum_buffer=np.zeros(gradient.size))
     stream = BatchStream([0], np.random.default_rng(0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _, theta = controller._unit_step(Steepest(), stream, state.theta, 0.5, state, "sgd")
     scaled = gradient / np.max(np.abs(gradient))
-    assert theta.tobytes() == (-0.5 * (scaled / euclidean_norm(scaled))).tobytes()
-    assert euclidean_norm(theta) == pytest.approx(0.5, rel=1e-15)
+    assert theta.tobytes() == (-0.5 * (scaled / np.linalg.norm(scaled))).tobytes()
+    assert np.linalg.norm(theta) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_unit_vector_is_the_plain_quotient_below_the_float_range():
     rng = np.random.default_rng(5)
-    for vector in (rng.normal(size=20) * 10.0**exponent for exponent in (-150, -3, 0, 150, 300)):
-        norm = euclidean_norm(vector)
-        assert controller.unit_vector(vector, norm).tobytes() == (vector / norm).tobytes()
+    for exponent in (-150, -3, 0, 150, 300):
+        vector = rng.normal(size=20) * 10.0**exponent
+        scale = np.max(np.abs(vector)) if exponent == 300 else 1.0
+        # Past 1e154 the norm is scale times the scaled vector's.
+        norm = scale * np.linalg.norm(vector / scale)
+        assert unit_vector(vector).tobytes() == (vector / norm).tobytes()
     # An infinite entry keeps the plain quotient, nan where inf / inf.
     vector = np.array([np.inf, 1.0])
     with np.errstate(invalid="ignore"):
-        assert controller.unit_vector(vector, euclidean_norm(vector)).tobytes() == (
-            vector / np.inf).tobytes()
+        assert unit_vector(vector).tobytes() == (vector / np.inf).tobytes()
 
 
 def test_run_aborts_on_divergence():
@@ -794,7 +803,7 @@ def _assert_bit_identical_runs(state, log, ref_state, ref_log):
 def test_run_is_bit_identical_with_the_per_call_paths(monkeypatch, name):
     """np.quantile for the window's third quartile, a refit on a design of
     its own, batch_loss then batch_gradient for each SGD load and
-    np.linalg.norm for each norm make the same run, bit for bit."""
+    np.linalg.norm for each direction make the same run, bit for bit."""
     make_problem, _ = PINNED_DECISIONS[name]
 
     def one_run(wrap):
@@ -804,6 +813,10 @@ def test_run_is_bit_identical_with_the_per_call_paths(monkeypatch, name):
     state, log = one_run(lambda problem: problem)
     select = linesearch.select_degree_and_fit
 
+    def numpy_unit_vector(vector):
+        norm = np.linalg.norm(vector)
+        return vector / norm if norm > 0.0 else None
+
     def select_then_refit(samples, *args):
         report = select(samples, *args)
         return replace(report, polynomial=fit_polynomial(report.chosen_degree, samples))
@@ -811,7 +824,7 @@ def test_run_is_bit_identical_with_the_per_call_paths(monkeypatch, name):
     monkeypatch.setattr(linesearch, "select_degree_and_fit", select_then_refit)
     monkeypatch.setattr(linesearch, "third_quartile",
                         lambda values: float(np.quantile(np.asarray(values, dtype=float), 0.75)))
-    monkeypatch.setattr(controller, "euclidean_norm", lambda vector: float(np.linalg.norm(vector)))
+    monkeypatch.setattr(controller, "unit_vector", numpy_unit_vector)
     ref_state, ref_log = one_run(WithoutFusedOracle)
     _assert_bit_identical_runs(state, log, ref_state, ref_log)
 

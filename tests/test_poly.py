@@ -178,6 +178,24 @@ def test_real_roots_in_a_huge_bracket_whose_companion_matrix_overflows():
     np.testing.assert_allclose(np.ldexp(found, -scale_exponent), [0.25, 0.75], rtol=1e-12)
 
 
+def test_eigenvalues_that_do_not_converge_are_taken_again_on_the_scaled_terms():
+    # The raw companion matrix is finite, but its entries span ~1e-134 to
+    # ~1e160 and numpy's eigenvalues do not converge; the power-of-two-scaled
+    # terms' do. p's real roots in the bracket, 0, ~6.1e7 and ~2.99e78, lie
+    # within ROOT_IMAG_TOL of the bracket's scale (~3.2e144) of each other,
+    # so they are one cluster, returned as its smallest.
+    coef = [0.0, 1.030018466253077e+256, -4.5891960239925453e-38, 0.343826323552692,
+            -4.543497760823307e+232, -2.610017582374746e+174, 8.736661874342721e+95]
+    bracket = (0.0, 3.1530955646037253e+150)
+    with pytest.raises(np.linalg.LinAlgError):
+        npoly.polyroots(np.array(coef))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        roots = real_roots_in(Polynomial(coef), bracket)
+    assert roots.tolist() == [0.0]
+    assert roots.tobytes() == reference.real_roots_in(Polynomial(coef), bracket).tobytes()
+
+
 @pytest.mark.parametrize("coef, bracket", [
     ([1.0, 2.5e-251, 1.0, 6.5e-180], (0.0, 1.0)),
     ([-0.0, -9.3e-56, -8.7e-211], (-1.07e155, 0.0)),

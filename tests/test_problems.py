@@ -416,8 +416,11 @@ def test_quadratic_fused_oracle_is_bit_identical_to_its_two_oracles(seed, n_batc
     theta = rng.normal(scale=scale, size=dim)
     batch = int(rng.integers(n_batches))
     loss, grad = problem.batch_loss_and_gradient(theta, batch)
-    assert type(loss) is float and loss.hex() == problem.batch_loss(theta, batch).hex()
-    want_grad = problem.matrices[batch] @ (theta - problem.centers[batch])
+    d = theta - problem.centers[batch]
+    want_loss = float(0.5 * d @ problem.matrices[batch] @ d + problem.offsets[batch])
+    assert type(loss) is float and loss.hex() == want_loss.hex()
+    assert problem.batch_loss(theta, batch).hex() == want_loss.hex()
+    want_grad = problem.matrices[batch] @ d
     assert grad.tobytes() == want_grad.tobytes()
     assert problem.batch_gradient(theta, batch).tobytes() == want_grad.tobytes()
 
