@@ -224,14 +224,11 @@ def write_training_log(path: Path, log: TrainingLog) -> None:
 
 
 def write_line_csvs(out_dir: Path, log: TrainingLog) -> None:
-    """One line_<i>.csv per line search, each row (round, s, loss) formatted
-    in one step, as _write_csv formats it."""
+    """One line_<i>.csv per line search, of its (round, s, loss) rows."""
     for index, search in enumerate(log.line_searches):
         rows = zip(search.rounds.tolist(), search.samples.positions.tolist(),
                    search.samples.losses.tolist())
-        lines = ["round,s,loss"]
-        lines.extend(f"{round_},{format_value(s)},{format_value(loss)}" for round_, s, loss in rows)
-        _write_file(out_dir / f"line_{index}.csv", "\n".join(lines) + "\n")
+        _write_csv(out_dir / f"line_{index}.csv", ("round", "s", "loss"), rows)
 
 
 def write_fits_csv(path: Path, log: TrainingLog, max_degree: int) -> None:

@@ -150,8 +150,10 @@ class TrainingLog:
 @dataclass
 class OptimizerState:
     """A run's parameters, step size and trigger state. The step window's SGD
-    losses are window_losses[:window_count]; run gives the buffer window_size + 1
-    slots, the most a window holds between resets (search phases, boundaries)."""
+    losses are window_losses[:window_count]; run gives the buffer
+    min(window_size, steps_to_train) + 1 slots: a window holds at most
+    window_size + 1 losses between resets (search phases, boundaries), and
+    never more than the run's steps_to_train SGD steps."""
 
     theta: np.ndarray
     momentum_buffer: np.ndarray
@@ -363,7 +365,8 @@ def run(
     if steps_to_train < 1:
         raise ValueError("steps_to_train must be >= 1")
     theta = np.asarray(problem.initial_theta(streams.theta_init), dtype=float).copy()
-    state = OptimizerState(theta, np.zeros_like(theta), window_losses=np.empty(config.window_size + 1))
+    window_slots = min(config.window_size, steps_to_train) + 1
+    state = OptimizerState(theta, np.zeros_like(theta), window_losses=np.empty(window_slots))
     train_stream = BatchStream(problem.train_batches, streams.train_order)
     sample_stream = (BatchStream(problem.validation_batches, streams.val_order)
                      if config.sample_from_validation else train_stream)

@@ -8,7 +8,6 @@ tests, as the reference."""
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ ROOT_VALUE_TOL = 1e-8
 # A top coefficient whose term on the bracket is within this fraction of
 # p's largest term is dropped before the eigenvalues are taken.
 NEGLIGIBLE_TERM = float(np.finfo(float).eps)
+FLOAT_MAX = float(np.finfo(float).max)
 # Two crossings whose anchor distances differ by less than this are a tie.
 TIE_TOL = 1e-8
 
@@ -46,10 +46,12 @@ class Polynomial:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coef = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
+        coef = np.asarray(self.coefficients, dtype=float)
+        if coef.ndim == 0:
+            coef = coef.reshape(1)
         if coef.ndim != 1 or coef.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
-        if not np.isfinite(coef).all():
+        if not all(map(math.isfinite, coef.tolist())):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coef)
 
@@ -134,39 +136,43 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
     powers = np.arange(coef.size)
     slope_coef = powers[1:] * coef[1:]
     # p's powers and terms, and the sums of p and p', stay finite at every
-    # |s| <= reach, with a factor of 2 to spare for rounding. Past it (a root
-    # near the float range's edge, or a Newton step thrown far by a nearly
-    # flat slope) any overflow is silenced: an overflowed |p| is inf or nan,
-    # which never beats the eigenvalue's, so that polish is dropped.
-    reach = (0.5 * np.finfo(float).max / max(1.0, (n + 1) * sum(map(abs, trimmed)))) ** (1 / n)
-
-    def values_and_slopes(s: list[float]):
-        beyond = max(1.0, *map(abs, s)) > reach
-        with np.errstate(over="ignore", invalid="ignore") if beyond else nullcontext():
-            vander = np.array(s)[:, None] ** powers
-            return vander @ coef, vander[:, :-1] @ slope_coef
-
-    values, slopes = values_and_slopes(roots)
+    # |s| <= reach, with a factor of 2 to spare for rounding.
+    reach = (0.5 * FLOAT_MAX / max(1.0, (n + 1) * sum(map(abs, trimmed)))) ** (1 / n)
+    values, slopes = _values_and_slopes(roots, powers, coef, slope_coef, reach)
     polished, polished_values = roots, values
     for _ in range(NEWTON_POLISH_STEPS):
         # Python floats divide and subtract as np.divide and np.subtract do,
         # but overflow to inf without a warning.
-        polished = [x - (v / d if d != 0.0 else 0.0) for x, v, d
-                    in zip(polished, polished_values.tolist(), slopes.tolist())]
-        polished_values, slopes = values_and_slopes(polished)
-    better = np.abs(polished_values) < np.abs(values)
-    roots = np.where(better, polished, roots).tolist()
-    residuals = np.abs(np.where(better, polished_values, values)).tolist()
+        polished = [x - (v / d if d != 0.0 else 0.0)
+                    for x, v, d in zip(polished, polished_values, slopes)]
+        polished_values, slopes = _values_and_slopes(polished, powers, coef, slope_coef, reach)
+    # Each root is its polish where that shrinks |p| (an |p| of nan never
+    # does), with the |p| of the one kept as its residual.
+    kept = [(x, abs(v)) if abs(v) < abs(w) else (r, abs(w))
+            for r, w, x, v in zip(roots, values, polished, polished_values)]
     # p's size on the bracket, by Horner's rule on Python floats, which
     # overflow to inf without a warning. Only a finite misfit drops a root:
     # an |p| that overflowed (inf or nan) is no evidence against it.
     size, bound = 0.0, max(abs(lo), abs(hi))
     for c in reversed(trimmed):
         size = abs(c) + size * bound
-    roots = sorted(root for root, residual in zip(roots, residuals)
+    roots = sorted(root for root, residual in kept
                    if lo <= root <= hi and not ROOT_VALUE_TOL * size < residual < math.inf)
     distinct = [r for r, before in zip(roots, [-math.inf, *roots]) if r - before > tolerance]
     return np.ldexp(distinct, exponent) if exponent else np.array(distinct)
+
+
+def _values_and_slopes(s: list[float], powers, coef, slope_coef, reach: float):
+    """p and p' at each s, as lists of Python floats: the rows of s's
+    Vandermonde matrix times p's coefficients and times p''s. Past reach (a
+    root near the float range's edge, or a Newton step thrown far by a nearly
+    flat slope) any overflow is silenced: an overflowed |p| is inf or nan,
+    which never beats the eigenvalue's, so that polish is dropped."""
+    if max(1.0, *map(abs, s)) > reach:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _values_and_slopes(s, powers, coef, slope_coef, math.inf)
+    vander = np.array(s)[:, None] ** powers
+    return (vander @ coef).tolist(), (vander[:, :-1] @ slope_coef).tolist()
 
 
 def _eigenvalues(terms: list[float]) -> list[complex]:

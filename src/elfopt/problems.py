@@ -45,14 +45,16 @@ class BatchStream:
     def __init__(self, batches, rng: np.random.Generator):
         if len(batches) == 0:
             raise ValueError("batch collection is empty")
-        self._batches = list(batches)
+        # An object array, whatever a batch is, so that one fancy index by a
+        # permutation reorders them all.
+        self._batches = np.fromiter(batches, dtype=object, count=len(batches))
         self._rng = rng
         self._order = self._shuffled()
         self._cursor = 0
 
     def _shuffled(self) -> list:
         """The batches in a fresh permutation's order: one epoch."""
-        return [self._batches[i] for i in self._rng.permutation(len(self._batches)).tolist()]
+        return self._batches[self._rng.permutation(self._batches.size)].tolist()
 
     def next_batch(self):
         return self.next_batches(1)[0]

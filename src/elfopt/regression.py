@@ -17,6 +17,7 @@ positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generator, Iterator
 
@@ -42,6 +43,8 @@ PIVOT_TOL = 1e-8
 # of the fits of a noisy quadratic's searches and 17% of a wide MLP's.
 FIRST_BLOCK = 5
 
+EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -55,7 +58,7 @@ class SampleSet:
         loss = np.asarray(self.losses, dtype=float)
         if pos.ndim != 1 or loss.ndim != 1 or pos.size != loss.size or pos.size == 0:
             raise ValueError("positions and losses must be 1-D arrays of identical length >= 1")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(loss))):
+        if not (np.isfinite(pos).all() and np.isfinite(loss).all()):
             raise ValueError("positions and losses must be finite")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "losses", loss)
@@ -80,8 +83,9 @@ class FitReport:
 
 def _rescaled(positions: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The positions mapped by s -> (s - mid) / half onto [-1, 1], and
-    (mid, half); half falls back to 1 when all positions coincide."""
-    lo, hi = positions.min(), positions.max()
+    (mid, half) as Python floats; half falls back to 1 when all positions
+    coincide."""
+    lo, hi = float(np.minimum.reduce(positions)), float(np.maximum.reduce(positions))
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     half = half if half > 0.0 else 1.0
@@ -144,10 +148,11 @@ def _fold_indices(n: int, folds: int, rng: np.random.Generator) -> tuple[np.ndar
     order = rng.permutation(n)
     size, larger = divmod(n, folds)
     cut = larger * (size + 1)
-    test_rows = np.full((folds, size + 1), n)
+    test_rows = np.empty((folds, size + 1), dtype=order.dtype)
     test_rows[:larger] = order[:cut].reshape(larger, size + 1)
     test_rows[larger:, :size] = order[cut:].reshape(folds - larger, size)
-    return test_rows, np.where(np.arange(folds) < larger, size + 1, size)
+    test_rows[larger:, size] = n
+    return test_rows, np.array([size + 1] * larger + [size] * (folds - larger))
 
 
 def _scaled(losses: np.ndarray) -> tuple[np.ndarray, int]:
@@ -156,7 +161,7 @@ def _scaled(losses: np.ndarray) -> tuple[np.ndarray, int]:
     and stop-rule tolerance of the scaled losses are 4**-e times those of
     the losses, bit for bit while both stay normal floats, and cannot
     overflow."""
-    e = int(np.frexp(np.max(np.abs(losses)))[1])
+    e = math.frexp(np.maximum.reduce(np.abs(losses)))[1]
     return np.ldexp(losses, -e), e
 
 
@@ -219,8 +224,8 @@ def _block_errors(
     q, r = np.linalg.qr(design)
     # |V_j| = |R_:j|, as Q has orthonormal columns, summed as np.linalg.norm
     # sums it.
-    rank_tol = n * np.finfo(float).eps * np.sqrt(np.add.reduce(r * r, axis=0))
-    dependent = (np.abs(np.diag(r)) <= rank_tol).tolist()
+    rank_tol = n * EPS * np.sqrt(np.add.reduce(r * r, axis=0))
+    dependent = (np.abs(r.diagonal()) <= rank_tol).tolist()
     # [Q_t | y_t] per fold, zero rows as padding, and from it every fold's
     # [[M, g, Q_t^T], [g^T, unused, y_t^T]].
     qy = np.zeros((n + 1, width + 1))

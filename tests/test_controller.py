@@ -959,7 +959,8 @@ def test_default_run_decisions_are_pinned(name):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    window_size=st.integers(1, 40),
+    # 10**20 is a window no run's buffer could hold whole.
+    window_size=st.integers(1, 40) | st.just(10**20),
     loss_improvement_factor=st.floats(0.0, 1.0),
     momentum_beta=st.floats(0.0, 0.99),
     decrease_factor_delta=st.floats(0.0, 0.99),

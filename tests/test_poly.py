@@ -54,10 +54,12 @@ def test_derivative_of_cubic():
 
 
 def test_invalid_coefficients_rejected():
-    with pytest.raises(ValueError):
-        Polynomial([])
-    with pytest.raises(ValueError):
-        Polynomial([1.0, np.nan])
+    for coefficients in ([], [[1.0, 2.0]], [1.0, np.nan], [np.inf, 1.0], [0.0, -np.inf]):
+        with pytest.raises(ValueError):
+            Polynomial(coefficients)
+    # A scalar is a constant; finite coefficients past 1e300 are valid.
+    assert Polynomial(2.5).coefficients.tolist() == [2.5]
+    assert Polynomial([1e308, -1e308]).coefficients.tolist() == [1e308, -1e308]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from elfopt.regression import (
     SampleSet,
     _design,
     _cv_errors,
+    _fold_indices,
     _least_squares,
     _raw_coefficients,
     _rescaled,
@@ -54,8 +55,13 @@ def test_degree_zero_is_mean():
 
 
 def test_rejects_nonfinite_and_underdetermined():
-    with pytest.raises(ValueError):
-        SampleSet(np.array([0.0, np.inf]), np.array([1.0, 2.0]))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SampleSet(np.array([0.0, bad]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            SampleSet(np.array([0.0, 1.0]), np.array([bad, 2.0]))
+    # Finite entries whose products overflow are valid.
+    assert len(SampleSet(np.array([1e308, -1e308]), np.array([-1e308, 1e308]))) == 2
     with pytest.raises(ValueError):
         fit_polynomial(3, SampleSet(np.array([0.0, 1.0]), np.array([1.0, 2.0])))
 
@@ -178,6 +184,17 @@ def _explicit_fold_cv(positions, losses, degree, folds, seed):
         predictions = np.vander((positions[test_idx] - mid) / half, degree + 1, increasing=True) @ coef
         errors.append(float(np.mean((predictions - losses[test_idx]) ** 2)))
     return float(np.mean(errors))
+
+
+def test_fold_indices_are_array_split_of_one_permutation_padded_with_n():
+    for folds in range(2, 11):
+        for n in range(folds, 502):
+            test_rows, sizes = _fold_indices(n, folds, np.random.default_rng(n))
+            parts = np.array_split(np.random.default_rng(n).permutation(n), folds)
+            assert sizes.tolist() == [part.size for part in parts]
+            assert test_rows.shape == (folds, n // folds + 1)
+            for row, part in zip(test_rows.tolist(), parts):
+                assert row == part.tolist() + [n] * (test_rows.shape[1] - part.size)
 
 
 def test_cv_errors_match_explicit_fold_oracle():
