@@ -157,7 +157,11 @@ def run_baseline(problem, config: SgdConfig | AdamConfig, steps_to_train: int,
     loads one batch, measured by one loss_and_gradient call and recorded by
     TrainingLog.record like the line-search optimizer's loads; its row logs
     the rate the step applies, from step_rates(config, steps_to_train). The
-    returned theta is the run's own array, not initial_theta's output."""
+    batches come from BatchStream.next_batches an epoch at a time, the last
+    draw cut at steps_to_train, so they are next_batch's batches in its order
+    and a finished run leaves streams.train_order as steps_to_train next_batch
+    calls would. The returned theta is the run's own array, not
+    initial_theta's output."""
     if type(config) not in _OPTIMIZERS:
         raise TypeError(f"no baseline optimizer is configured by {type(config).__name__}")
     if steps_to_train < 1:
@@ -167,8 +171,14 @@ def run_baseline(problem, config: SgdConfig | AdamConfig, steps_to_train: int,
 
     log = TrainingLog()
     train_stream = BatchStream(problem.train_batches, streams.train_order)
-    for lr in step_rates(config, steps_to_train):
-        loss, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
+    epoch = len(problem.train_batches)
+    # A fresh stream starts an epoch, so each draw is one whole epoch; drawn
+    # lazily, a diverging run draws no epoch past the one it stops in.
+    batches = itertools.chain.from_iterable(
+        train_stream.next_batches(min(epoch, steps_to_train - start))
+        for start in range(0, steps_to_train, epoch))
+    for lr, batch in zip(step_rates(config, steps_to_train), batches):
+        loss, gradient = loss_and_gradient(problem, state.theta, batch)
         log.record("sgd", [loss], lr)
         step(state, gradient, lr, config)
     return state.theta, log

@@ -94,15 +94,20 @@ PROBLEM_NAMES = ("quadratic", "logistic", "mlp")
 OPTIMIZER_NAMES = ("elf", "sgd", "adam")
 
 
+# The one float format of every snapshot and artifact: 17 significant digits.
+FLOAT_FORMAT = "%.17g"
+
+
 def format_value(value) -> str:
+    """The text of a config value or artifact cell; a float in FLOAT_FORMAT."""
     if isinstance(value, float):
-        return "%.17g" % value
+        return FLOAT_FORMAT % value
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
-        return ",".join("%.17g" % v for v in value)
+        return ",".join(FLOAT_FORMAT % v for v in value)
     return str(value)
 
 
@@ -209,26 +214,52 @@ def _write_csv(path: Path, header, rows) -> None:
     _write_file(path, "\n".join(lines) + "\n")
 
 
+# Rows per % operation in the writers below: this bounds the template and the
+# values tuple each operation builds, whatever the log's length.
+_BLOCK_ROWS = 1024
+
+
+def _format_rows(template: str, *columns) -> list[str]:
+    """template % row for the rows of the equal-length columns, a block of at
+    most _BLOCK_ROWS rows per % operation; template has one conversion per
+    column and ends in a newline."""
+    width, count = len(columns), len(columns[0])
+    blocks = []
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, count)
+        values = [None] * (width * (stop - start))
+        for offset, column in enumerate(columns):
+            values[offset::width] = column[start:stop]
+        blocks.append((template * (stop - start)) % tuple(values))
+    return blocks
+
+
 def write_training_log(path: Path, log: TrainingLog) -> None:
     """Write what _write_csv writes for LogRow._fields and log.rows, one
-    segment at a time: a segment's update_step, expected and real cells are
-    formatted once, so each row formats only its loss."""
-    lines = [",".join(LogRow._fields)]
+    segment at a time: its event and its update_step, expected and real
+    cells are formatted once into a row template, and its steps and losses
+    (Python floats, as TrainingLog.record stores them) fill that template.
+    Events and formatted cells hold no %, so the template formats them as
+    they are."""
+    blocks = [",".join(LogRow._fields) + "\n"]
     for segment in log.segments:
         tail = ",".join(map(format_value, (segment.update_step, segment.expected_improvement,
                                            segment.real_improvement)))
-        event = segment.event
-        for step, loss in enumerate(map(format_value, segment.losses), segment.first):
-            lines.append(f"{step},{event},{loss},{tail}")
-    _write_file(path, "\n".join(lines) + "\n")
+        template = f"%d,{segment.event},{FLOAT_FORMAT},{tail}\n"
+        first = segment.first
+        blocks += _format_rows(template, range(first, first + len(segment.losses)),
+                               segment.losses)
+    _write_file(path, "".join(blocks))
 
 
 def write_line_csvs(out_dir: Path, log: TrainingLog) -> None:
-    """One line_<i>.csv per line search, of its (round, s, loss) rows."""
+    """One line_<i>.csv per line search: what _write_csv writes for its
+    (round, s, loss) rows, formatted through one row template."""
+    template = f"%d,{FLOAT_FORMAT},{FLOAT_FORMAT}\n"
     for index, search in enumerate(log.line_searches):
-        rows = zip(search.rounds.tolist(), search.samples.positions.tolist(),
-                   search.samples.losses.tolist())
-        _write_csv(out_dir / f"line_{index}.csv", ("round", "s", "loss"), rows)
+        blocks = _format_rows(template, search.rounds.tolist(),
+                              search.samples.positions.tolist(), search.samples.losses.tolist())
+        _write_file(out_dir / f"line_{index}.csv", "round,s,loss\n" + "".join(blocks))
 
 
 def write_fits_csv(path: Path, log: TrainingLog, max_degree: int) -> None:

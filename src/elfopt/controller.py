@@ -357,10 +357,11 @@ def run(
 ) -> tuple[OptimizerState, TrainingLog]:
     """Train for steps_to_train batch loads and return (state, state.log).
 
-    Start-up: an optional grid search picks the largest workable step size
-    (it seeds both the first SGD step and the line-search interval width),
-    then one search phase measures the actual step. After that the trigger
-    predicate decides on every window boundary whether to re-measure.
+    Start-up: an optional grid search, of at most steps_to_train probe steps
+    per candidate, picks the largest workable step size (it seeds both the
+    first SGD step and the line-search interval width), then one search
+    phase measures the actual step. After that the trigger predicate
+    decides on every window boundary whether to re-measure.
     """
     if steps_to_train < 1:
         raise ValueError("steps_to_train must be >= 1")
@@ -372,7 +373,11 @@ def run(
                      if config.sample_from_validation else train_stream)
 
     if config.grid_search_probe_steps > 0:
-        selected = initial_grid_search(problem, config, train_stream, state)
+        # A probe is cut to the run's budget, so a validated probe count
+        # too large for memory still runs.
+        probe = min(config.grid_search_probe_steps, steps_to_train)
+        selected = initial_grid_search(
+            problem, replace(config, grid_search_probe_steps=probe), train_stream, state)
         state.update_step = float(selected)
         config = replace(config, line_search=replace(
             config.line_search, initial_interval_width=float(selected)))
@@ -426,9 +431,14 @@ def _unit_step(problem, stream, theta, step, state, event, expected=None, real=N
     """Load one batch into state.current_batch, record its loss at theta with
     step as the row's update_step, and return (loss, theta moved by step along
     the batch's normalized negative gradient, or theta itself when
-    unit_vector gives none)."""
+    unit_vector gives none). The moved theta is theta - step * direction
+    computed inside unit_vector's fresh result, so theta is left as it was
+    and the step allocates no other parameter-sized array."""
     state.current_batch = stream.next_batch()
     loss, gradient = loss_and_gradient(problem, theta, state.current_batch)
     state.log.record(event, [loss], step, expected, real)
     direction = unit_vector(gradient)
-    return loss, theta if direction is None else theta - step * direction
+    if direction is None:
+        return loss, theta
+    direction *= step
+    return loss, np.subtract(theta, direction, out=direction)

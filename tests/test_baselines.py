@@ -21,7 +21,7 @@ from elfopt.baselines import (
     sgd_step,
     step_rates,
 )
-from elfopt.controller import DivergenceError
+from elfopt.controller import DivergenceError, TrainingLog
 from elfopt.problems import (
     BatchStream,
     LogisticBlobs,
@@ -381,3 +381,72 @@ def test_a_baseline_log_holds_one_segment_per_rate(optimizer, schedule):
         (first, _rate(config, first - 1, steps)) for first in firsts]
     assert [len(segment.losses) for segment in log.segments] == [
         end - first for first, end in zip(firsts, [*firsts[1:], steps + 1])]
+
+
+# ---------------------------------------------------------------------------
+# epoch draws against one next_batch call per step
+# ---------------------------------------------------------------------------
+
+def _per_step_run(problem, config, steps, streams):
+    """run_baseline's loop with one next_batch call per step."""
+    init, step = ((init_sgd, sgd_step) if isinstance(config, SgdConfig)
+                  else (init_adam, adam_step))
+    state = init(problem.initial_theta(streams.theta_init))
+    log = TrainingLog()
+    train_stream = BatchStream(problem.train_batches, streams.train_order)
+    for lr in step_rates(config, steps):
+        loss, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
+        log.record("sgd", [loss], lr)
+        step(state, gradient, lr, config)
+    return state.theta, log
+
+
+# Each problem has 40 training batches (the quadratic holds 10 of its 50 out
+# for validation), so the budgets below end one load short of an epoch, on it,
+# one past it, and within the 26th epoch.
+EPOCH_PROBLEMS = {
+    "quadratic": lambda rng: NoisyQuadraticEnsemble(n_batches=50, rng=rng),
+    "logistic-hard": lambda rng: LogisticBlobs(separation=1.0, cluster_std=1.0, rng=rng),
+    "mlp": lambda rng: MlpBlobs(rng=rng),
+}
+
+
+def _same_log(log, ref):
+    assert [repr(tuple(row)) for row in log.rows] == [repr(tuple(row)) for row in ref.rows]
+    assert [repr(segment) for segment in log.segments] == [repr(s) for s in ref.segments]
+
+
+@pytest.mark.parametrize("name", sorted(EPOCH_PROBLEMS))
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("steps", [1, 39, 40, 41, 1001])
+def test_epoch_draws_equal_one_next_batch_per_step(name, optimizer, steps):
+    problem = EPOCH_PROBLEMS[name](rng_streams(5).data)
+    assert len(problem.train_batches) == 40
+    config = CONFIGS[optimizer](learning_rate=0.05 if optimizer == "sgd" else 0.005,
+                                schedule=StepDecaySchedule())
+    streams, ref_streams = rng_streams(5), rng_streams(5)
+    theta, log = run_baseline(problem, config, steps, streams)
+    ref_theta, ref_log = _per_step_run(problem, config, steps, ref_streams)
+    assert theta.tobytes() == ref_theta.tobytes()
+    _same_log(log, ref_log)
+    # The run drew exactly its budget: the batch order's next draw is the same.
+    assert streams.train_order.random() == ref_streams.train_order.random()
+
+
+def test_a_diverging_run_with_epoch_draws_ends_on_its_first_non_finite_row():
+    problem = NoisyQuadraticEnsemble(n_batches=50, dim=3, rng=np.random.default_rng(0))
+    config = SgdConfig(learning_rate=1e300)
+    streams, ref_streams = rng_streams(0), rng_streams(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as raised:
+            run_baseline(problem, config, 1001, streams)
+        with pytest.raises(DivergenceError) as ref_raised:
+            _per_step_run(problem, config, 1001, ref_streams)
+    log, ref_log = raised.value.log, ref_raised.value.log
+    _same_log(log, ref_log)
+    assert not math.isfinite(log.rows[-1].train_loss)
+    assert all(math.isfinite(row.train_loss) for row in log.rows[:-1])
+    assert str(raised.value) == str(ref_raised.value)
+    # Epochs are drawn as the steps reach them, so the stopped run drew no
+    # epoch the per-step loop did not.
+    assert streams.train_order.random() == ref_streams.train_order.random()

@@ -273,18 +273,18 @@ def _row_per_cell_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _assert_writers_match_the_row_per_cell_csv(out_dir, log):
+def _assert_writers_match_the_row_per_cell_csv(out_dir, log, write_reference=_row_per_cell_csv):
     """The writers' training_log.csv and line_<i>.csv bytes against the
     reference writer's for the same log."""
     reference = out_dir / "reference"
-    reference.mkdir(exist_ok=True)
+    reference.mkdir(parents=True, exist_ok=True)
     write_training_log(out_dir / "training_log.csv", log)
-    _row_per_cell_csv(reference / "training_log.csv", LogRow._fields, log.rows)
+    write_reference(reference / "training_log.csv", LogRow._fields, log.rows)
     write_line_csvs(out_dir, log)
     for index, search in enumerate(log.line_searches):
-        _row_per_cell_csv(reference / f"line_{index}.csv", ("round", "s", "loss"),
-                          zip(search.rounds.tolist(), search.samples.positions.tolist(),
-                              search.samples.losses.tolist()))
+        write_reference(reference / f"line_{index}.csv", ("round", "s", "loss"),
+                        zip(search.rounds.tolist(), search.samples.positions.tolist(),
+                            search.samples.losses.tolist()))
     assert len(list(out_dir.glob("line_*.csv"))) == len(log.line_searches)
     for name in sorted(path.name for path in reference.iterdir()):
         assert (out_dir / name).read_bytes() == (reference / name).read_bytes(), name
@@ -324,6 +324,26 @@ def test_writers_bytes_equal_the_row_per_cell_writer(tmp_path_factory, calls, se
         fit = FitReport(Polynomial(np.array([1.0])), 0, np.array([1.0]))
         log.line_searches.append(LineSearchResult(None, fit, SampleSet(positions, losses), rounds))
     _assert_writers_match_the_row_per_cell_csv(tmp_path_factory.mktemp("out"), log)
+
+
+def test_writers_write_what_write_csv_writes(tmp_path):
+    # Segments with None and float tails, the float range's edge values, and
+    # a segment spanning more than two format blocks.
+    edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, np.float64(2) / 3]
+    log = TrainingLog()
+    log.record("grid_search", edge)
+    log.record("grid_search", edge, 1e-4)
+    log.record("grid_search", edge, 0.5, -0.0, 12345.678)
+    log.record("grid_search", [i / 7 for i in range(2 * cli._BLOCK_ROWS + 3)], None, math.nan,
+               -math.inf)
+    log.record("sgd", [1.0, 2.0], 0.1, None, 5e-324)
+    rows = [(0, 0.0, 1.0), (0, -0.0, 0.1), (1, 1e308, 5e-324), (1, 1 / 3, -1e308)]
+    rounds, positions, losses = map(np.array, zip(*rows))
+    fit = FitReport(Polynomial(np.array([1.0])), 0, np.array([1.0]))
+    log.line_searches.append(LineSearchResult(0.5, fit, SampleSet(positions, losses), rounds))
+    _assert_writers_match_the_row_per_cell_csv(tmp_path / "full", log, cli._write_csv)
+    _assert_writers_match_the_row_per_cell_csv(tmp_path / "empty", TrainingLog(), cli._write_csv)
+    assert (tmp_path / "empty" / "training_log.csv").read_text() == ",".join(LogRow._fields) + "\n"
 
 
 @pytest.mark.parametrize("problem", ["quadratic", "logistic", "mlp"])

@@ -37,6 +37,7 @@ from elfopt.problems import (
     MlpBlobs,
     NoisyQuadraticEnsemble,
     empirical_loss,
+    loss_and_gradient,
 )
 from elfopt.seeding import rng_streams
 
@@ -654,6 +655,51 @@ def test_unit_step_moves_its_step_along_a_gradient_whose_norm_passes_the_float_r
     assert np.linalg.norm(theta) == pytest.approx(0.5, rel=1e-15)
 
 
+@pytest.mark.parametrize("name", ["quadratic", "logistic-hard"])
+def test_unit_step_leaves_its_theta_and_moves_by_step_times_unit_vector(monkeypatch, name):
+    """Every grid probe and SGD step of a run leaves the theta it was given
+    (the grid search's theta0 for each candidate's first probe) as it was, and
+    returns a new array equal to theta - step * unit_vector(gradient)."""
+    unit_step = controller._unit_step
+    calls = []
+
+    def checked(problem, stream, theta, step, state, event, *rest):
+        before = theta.copy()
+        loss, moved = unit_step(problem, stream, theta, step, state, event, *rest)
+        assert theta.tobytes() == before.tobytes()
+        _, gradient = loss_and_gradient(problem, before, state.current_batch)
+        assert moved.tobytes() == (before - step * unit_vector(gradient)).tobytes()
+        assert not np.shares_memory(moved, theta)
+        calls.append(event)
+        return loss, moved
+
+    monkeypatch.setattr(controller, "_unit_step", checked)
+    make_problem, _ = PINNED_DECISIONS[name]
+    streams = rng_streams(0)
+    state, log = run(make_problem(streams.data), ElfConfig(), 2000, streams)
+    # Every grid row but the baseline's is a probe step.
+    probe = ElfConfig().grid_search_probe_steps
+    assert Counter(calls) == {"grid_search": log.count("grid_search") - probe,
+                              "sgd": log.count("sgd")}
+
+
+@pytest.mark.parametrize("probe", [51, 10**12])
+def test_a_probe_count_past_the_budget_runs_as_the_budget(probe):
+    """The grid search probes at most steps_to_train steps per candidate: a
+    count past the budget runs the budget's own probe count, bit for bit."""
+    def one_run(probe_steps):
+        streams = rng_streams(0)
+        problem = NoisyQuadraticEnsemble(n_batches=8, dim=3, rng=streams.data)
+        return run(problem, ElfConfig(grid_search_probe_steps=probe_steps), 50, streams)
+
+    state, log = one_run(probe)
+    ref_state, ref_log = one_run(50)
+    # The baseline and each candidate probed take 50 loads each.
+    assert log.count("grid_search") % 50 == 0 and log.count("grid_search") > 50
+    assert [repr(row) for row in log.rows] == [repr(row) for row in ref_log.rows]
+    assert state.theta.tobytes() == ref_state.theta.tobytes()
+
+
 def test_unit_vector_is_the_plain_quotient_below_the_float_range():
     rng = np.random.default_rng(5)
     for exponent in (-150, -3, 0, 150, 300):
@@ -967,7 +1013,8 @@ def test_default_run_decisions_are_pinned(name):
     lines_to_average=st.integers(1, 3),
     candidates=st.lists(st.floats(-1.0, 10.0) | st.sampled_from([np.nan, np.inf]),
                         max_size=3).map(tuple),
-    probe_steps=st.integers(-2, 6),
+    # 10**12 probe steps per candidate is a draw no memory could hold.
+    probe_steps=st.integers(-2, 6) | st.just(10**12),
     sample_from_validation=st.booleans(),
     k=st.integers(1, 3),
     n=st.integers(1, 30),
