@@ -10,8 +10,8 @@ produce byte-identical artifacts.
 
 A key under a section prefix (quadratic, logistic, mlp, elf, elf.line, sgd,
 adam, schedule) sets one field of the class that section builds, and its
-default is that field's default in the class. Only the top-level keys and the
-cross_section keys carry a default of their own.
+default is that field's default in the class; batch_size takes LogisticBlobs's.
+The other top-level keys and the cross_section keys carry a default of their own.
 
 Artifacts written per run:
     config.txt          resolved configuration snapshot
@@ -74,7 +74,7 @@ DEFAULTS: dict[str, object] = {
     "problem": "quadratic",
     "optimizer": "elf",
     "steps": 2000,
-    "batch_size": 50,
+    "batch_size": inspect.signature(LogisticBlobs).parameters["batch_size"].default,
     "seed": 0,
     "out": "run_out",
     "quiet": False,
@@ -207,68 +207,62 @@ def _write_file(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write a header of column names, then each row's cells through format_value."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(format_value, row)) for row in rows)
-    _write_file(path, "\n".join(lines) + "\n")
-
-
-# Rows per % operation in the writers below: this bounds the template and the
-# values tuple each operation builds, whatever the log's length.
+# Rows per % operation in _write_csv: this bounds the template and the values
+# tuple each operation builds, whatever the artifact's length.
 _BLOCK_ROWS = 1024
 
 
-def _format_rows(template: str, *columns) -> list[str]:
-    """template % row for the rows of the equal-length columns, a block of at
-    most _BLOCK_ROWS rows per % operation; template has one conversion per
-    column and ends in a newline."""
+def _write_csv(path: Path, header, template: str, *columns) -> None:
+    """Write a header of column names, then template % row for the rows of
+    the equal-length columns, at most _BLOCK_ROWS rows per % operation. The
+    template ends in a newline and has one conversion per column: %d for
+    ints, FLOAT_FORMAT for floats, %s for text format_value wrote."""
     width, count = len(columns), len(columns[0])
-    blocks = []
+    blocks = [",".join(header) + "\n"]
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
         values = [None] * (width * (stop - start))
         for offset, column in enumerate(columns):
             values[offset::width] = column[start:stop]
         blocks.append((template * (stop - start)) % tuple(values))
-    return blocks
-
-
-def write_training_log(path: Path, log: TrainingLog) -> None:
-    """Write what _write_csv writes for LogRow._fields and log.rows, one
-    segment at a time: its event and its update_step, expected and real
-    cells are formatted once into a row template, and its steps and losses
-    (Python floats, as TrainingLog.record stores them) fill that template.
-    Events and formatted cells hold no %, so the template formats them as
-    they are."""
-    blocks = [",".join(LogRow._fields) + "\n"]
-    for segment in log.segments:
-        tail = ",".join(map(format_value, (segment.update_step, segment.expected_improvement,
-                                           segment.real_improvement)))
-        template = f"%d,{segment.event},{FLOAT_FORMAT},{tail}\n"
-        first = segment.first
-        blocks += _format_rows(template, range(first, first + len(segment.losses)),
-                               segment.losses)
     _write_file(path, "".join(blocks))
 
 
+def write_training_log(path: Path, log: TrainingLog) -> None:
+    """One row per LogRow of log.rows, built from its segments: each
+    segment's event, and its update_step, expected and real cells formatted
+    once, repeat over its losses (Python floats, as TrainingLog.record stores
+    them)."""
+    events, losses, tails = [], [], []
+    for segment in log.segments:
+        tail = ",".join(map(format_value, (segment.update_step, segment.expected_improvement,
+                                           segment.real_improvement)))
+        events += [segment.event] * len(segment.losses)
+        tails += [tail] * len(segment.losses)
+        losses += segment.losses
+    _write_csv(path, LogRow._fields, f"%d,%s,{FLOAT_FORMAT},%s\n",
+               range(1, len(losses) + 1), events, losses, tails)
+
+
 def write_line_csvs(out_dir: Path, log: TrainingLog) -> None:
-    """One line_<i>.csv per line search: what _write_csv writes for its
-    (round, s, loss) rows, formatted through one row template."""
+    """One line_<i>.csv of (round, s, loss) rows per line search."""
     template = f"%d,{FLOAT_FORMAT},{FLOAT_FORMAT}\n"
     for index, search in enumerate(log.line_searches):
-        blocks = _format_rows(template, search.rounds.tolist(),
-                              search.samples.positions.tolist(), search.samples.losses.tolist())
-        _write_file(out_dir / f"line_{index}.csv", "round,s,loss\n" + "".join(blocks))
+        _write_csv(out_dir / f"line_{index}.csv", ("round", "s", "loss"), template,
+                   search.rounds.tolist(), search.samples.positions.tolist(),
+                   search.samples.losses.tolist())
 
 
 def write_fits_csv(path: Path, log: TrainingLog, max_degree: int) -> None:
-    rows = []
-    for index, search in enumerate(log.line_searches):
+    """The chosen fit per line search: its degree, then its coefficients,
+    empty-padded to max_degree + 1 cells."""
+    cells = []
+    for search in log.line_searches:
         coef = search.fit.polynomial.coefficients.tolist()
-        padding = [None] * (max_degree + 1 - len(coef))
-        rows.append([index, search.fit.chosen_degree, *coef, *padding])
-    _write_csv(path, ["line_index", "degree", *(f"c{i}" for i in range(max_degree + 1))], rows)
+        cells.append(",".join(map(format_value, coef + [None] * (max_degree + 1 - len(coef)))))
+    _write_csv(path, ["line_index", "degree", *(f"c{i}" for i in range(max_degree + 1))],
+               "%d,%d,%s\n", range(len(cells)),
+               [search.fit.chosen_degree for search in log.line_searches], cells)
 
 
 @contextmanager
@@ -359,15 +353,20 @@ def dump_cross_section(config: RunConfig) -> int:
     s_min, s_max = config["cross_section.s_min"], config["cross_section.s_max"]
     if not np.isfinite([s_min, s_max]).all():
         raise ConfigError("cross_section.s_min and cross_section.s_max must be finite")
-    profile = cross_section_profile(problem, theta0, direction, np.linspace(s_min, s_max, points))
+    try:    # numpy refuses a grid or profile past memory or its size limit
+        grid = np.linspace(s_min, s_max, points)
+        profile = cross_section_profile(problem, theta0, direction, grid)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cross_section.points={points}: {exc}") from exc
 
     out_dir = _open_out_dir(config, ("cross_section.csv",))
-    series = [(f"batch_{i}", curve) for i, curve in enumerate(profile.per_batch)]
-    series += [("mean", profile.mean), ("q1", profile.q1), ("q2", profile.q2), ("q3", profile.q3)]
+    names = [f"batch_{i}" for i in range(len(profile.per_batch))] + ["mean", "q1", "q2", "q3"]
+    curves = np.vstack([profile.per_batch, profile.mean, profile.q1, profile.q2, profile.q3])
     with _writing_out_dir():
         _write_csv(out_dir / "cross_section.csv", ("series", "s", "loss"),
-                   [(name, s, loss) for name, curve in series
-                    for s, loss in zip(profile.s_grid.tolist(), curve.tolist())])
+                   f"%s,{FLOAT_FORMAT},{FLOAT_FORMAT}\n",
+                   [name for name in names for _ in range(points)],
+                   profile.s_grid.tolist() * len(names), curves.ravel().tolist())
 
     if not config["quiet"]:
         print(f"cross section written: {profile.per_batch.shape[0]} batches x "

@@ -35,7 +35,7 @@ from elfopt.cli import (
 from elfopt.controller import DivergenceError, LogRow, TrainingLog
 from elfopt.linesearch import LineSearchResult
 from elfopt.poly import Polynomial
-from elfopt.problems import empirical_loss
+from elfopt.problems import LogisticBlobs, MlpBlobs, cross_section_profile, empirical_loss
 from elfopt.regression import FitReport, SampleSet
 from elfopt.seeding import rng_streams
 
@@ -126,6 +126,13 @@ def test_every_section_key_defaults_to_the_field_it_sets():
             assert value == inspect.signature(cls).parameters[name].default, key
             checked += 1
     assert checked == sum(len(names) for _, names in SECTIONS.values())
+
+
+def test_batch_size_defaults_to_the_problems_shared_batch_size():
+    # batch_size reaches LogisticBlobs and MlpBlobs alike, so both must
+    # declare the default it takes from LogisticBlobs.
+    for cls in (LogisticBlobs, MlpBlobs):
+        assert inspect.signature(cls).parameters["batch_size"].default == DEFAULTS["batch_size"]
 
 
 def test_seventeen_digit_floats_round_trip():
@@ -273,19 +280,39 @@ def _row_per_cell_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _assert_writers_match_the_row_per_cell_csv(out_dir, log, write_reference=_row_per_cell_csv):
-    """The writers' training_log.csv and line_<i>.csv bytes against the
-    reference writer's for the same log."""
+def _assert_writers_match_the_row_per_cell_csv(out_dir, log=None,
+                                               max_degree=DEFAULTS["elf.line.max_degree"],
+                                               profile=None):
+    """The bytes of the CSVs in out_dir against the reference writer's:
+    training_log.csv, line_<i>.csv and fits.csv, which the writers write
+    here for log, and the cross_section.csv of profile, which a dump wrote."""
     reference = out_dir / "reference"
     reference.mkdir(parents=True, exist_ok=True)
-    write_training_log(out_dir / "training_log.csv", log)
-    write_reference(reference / "training_log.csv", LogRow._fields, log.rows)
-    write_line_csvs(out_dir, log)
-    for index, search in enumerate(log.line_searches):
-        write_reference(reference / f"line_{index}.csv", ("round", "s", "loss"),
-                        zip(search.rounds.tolist(), search.samples.positions.tolist(),
-                            search.samples.losses.tolist()))
-    assert len(list(out_dir.glob("line_*.csv"))) == len(log.line_searches)
+    if log is not None:
+        write_training_log(out_dir / "training_log.csv", log)
+        _row_per_cell_csv(reference / "training_log.csv", LogRow._fields, log.rows)
+        write_line_csvs(out_dir, log)
+        for index, search in enumerate(log.line_searches):
+            _row_per_cell_csv(reference / f"line_{index}.csv", ("round", "s", "loss"),
+                              zip(search.rounds.tolist(), search.samples.positions.tolist(),
+                                  search.samples.losses.tolist()))
+        assert len(list(out_dir.glob("line_*.csv"))) == len(log.line_searches)
+        write_fits_csv(out_dir / "fits.csv", log, max_degree)
+        rows = []
+        for index, search in enumerate(log.line_searches):
+            coef = search.fit.polynomial.coefficients.tolist()
+            rows.append([index, search.fit.chosen_degree, *coef,
+                         *[None] * (max_degree + 1 - len(coef))])
+        _row_per_cell_csv(reference / "fits.csv",
+                          ["line_index", "degree", *(f"c{i}" for i in range(max_degree + 1))],
+                          rows)
+    if profile is not None:
+        series = [(f"batch_{i}", curve) for i, curve in enumerate(profile.per_batch)]
+        series += [("mean", profile.mean), ("q1", profile.q1), ("q2", profile.q2),
+                   ("q3", profile.q3)]
+        _row_per_cell_csv(reference / "cross_section.csv", ("series", "s", "loss"),
+                          [(name, s, loss) for name, curve in series
+                           for s, loss in zip(profile.s_grid.tolist(), curve.tolist())])
     for name in sorted(path.name for path in reference.iterdir()):
         assert (out_dir / name).read_bytes() == (reference / name).read_bytes(), name
 
@@ -339,11 +366,30 @@ def test_writers_write_what_write_csv_writes(tmp_path):
     log.record("sgd", [1.0, 2.0], 0.1, None, 5e-324)
     rows = [(0, 0.0, 1.0), (0, -0.0, 0.1), (1, 1e308, 5e-324), (1, 1 / 3, -1e308)]
     rounds, positions, losses = map(np.array, zip(*rows))
-    fit = FitReport(Polynomial(np.array([1.0])), 0, np.array([1.0]))
+    fit = FitReport(Polynomial(np.array([0.5, -2.0])), 1, np.array([1.0, 0.5]))
     log.line_searches.append(LineSearchResult(0.5, fit, SampleSet(positions, losses), rounds))
-    _assert_writers_match_the_row_per_cell_csv(tmp_path / "full", log, cli._write_csv)
-    _assert_writers_match_the_row_per_cell_csv(tmp_path / "empty", TrainingLog(), cli._write_csv)
+    # A fit of fewer coefficients than max_degree + 1, and a log of no searches.
+    _assert_writers_match_the_row_per_cell_csv(tmp_path / "full", log, max_degree=3)
+    _assert_writers_match_the_row_per_cell_csv(tmp_path / "empty", TrainingLog())
     assert (tmp_path / "empty" / "training_log.csv").read_text() == ",".join(LogRow._fields) + "\n"
+    assert (tmp_path / "full" / "fits.csv").read_text().splitlines()[1] == "0,1,0.5,-2,,"
+    assert len((tmp_path / "empty" / "fits.csv").read_text().splitlines()) == 1
+
+
+def test_cross_section_csv_is_what_the_row_per_cell_writer_writes(tmp_path, monkeypatch):
+    profiles = []
+
+    def capture(*args):
+        profiles.append(cross_section_profile(*args))
+        return profiles[-1]
+
+    monkeypatch.setattr(cli, "cross_section_profile", capture)
+    out = tmp_path / "dump"
+    assert main(["--dump-cross-section", "--set", "cross_section.points=5", "--out", str(out),
+                 "--quiet"]) == 0
+    (profile,) = profiles
+    assert profile.s_grid.size == 5
+    _assert_writers_match_the_row_per_cell_csv(out, profile=profile)
 
 
 @pytest.mark.parametrize("problem", ["quadratic", "logistic", "mlp"])
@@ -601,6 +647,18 @@ def test_a_size_error_names_its_key(tmp_path, capsys):
     out = tmp_path / "nothing"
     assert main(["--problem", "mlp", "--set", "mlp.n_classes=0", "--out", str(out), "--quiet"]) == 1
     assert "n_classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["1000000000000000", "10000000000000000000"],
+                         ids=["past-memory", "past-numpys-size-limit"])
+def test_a_dump_grid_numpy_refuses_is_a_config_error(tmp_path, capsys, points):
+    # numpy refuses both grids before allocating any of them: the first
+    # asks for 7.11 PiB, the second for more elements than an array holds.
+    out = tmp_path / "nothing"
+    assert main(["--dump-cross-section", "--set", f"cross_section.points={points}",
+                 "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"config error: cross_section.points={points}: ")
 
 
 @pytest.mark.parametrize("args, rows, last_row", [
