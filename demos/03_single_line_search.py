@@ -12,7 +12,7 @@ batches.
 import numpy as np
 
 from elfopt.linesearch import LineSearchConfig, elf_line_search
-from elfopt.problems import BatchStream, NoisyQuadraticEnsemble, batch_losses_along
+from elfopt.problems import BatchStream, NoisyQuadraticEnsemble
 from elfopt.seeding import rng_streams, substream
 
 streams = rng_streams(0)
@@ -25,7 +25,7 @@ stream = BatchStream(problem.train_batches, substream(0, "demo_batches"))
 
 
 def oracle(s):
-    return batch_losses_along(problem, theta0, direction, s, stream.next_batches(s.size))
+    return problem.batch_losses_along(theta0, direction, s, stream.next_batches(s.size))
 
 
 result = elf_line_search(oracle, LineSearchConfig(), streams.line_search,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import TrainingLog
-from .problems import BatchStream, loss_and_gradient
+from .problems import BatchStream
 from .seeding import RngStreams
 
 
@@ -154,14 +154,14 @@ _OPTIMIZERS = {SgdConfig: (init_sgd, sgd_step), AdamConfig: (init_adam, adam_ste
 def run_baseline(problem, config: SgdConfig | AdamConfig, steps_to_train: int,
                  streams: RngStreams) -> tuple[np.ndarray, TrainingLog]:
     """Train with the optimizer that the config's class configures. Each step
-    loads one batch, measured by one loss_and_gradient call and recorded by
-    TrainingLog.record like the line-search optimizer's loads; its row logs
-    the rate the step applies, from step_rates(config, steps_to_train). The
-    batches come from BatchStream.next_batches an epoch at a time, the last
-    draw cut at steps_to_train, so they are next_batch's batches in its order
-    and a finished run leaves streams.train_order as steps_to_train next_batch
-    calls would. The returned theta is the run's own array, not
-    initial_theta's output."""
+    loads one batch, measured by one problem.batch_loss_and_gradient call
+    and recorded by TrainingLog.record like the line-search optimizer's
+    loads; its row logs the rate the step applies, from step_rates(config,
+    steps_to_train). The batches come from BatchStream.next_batches an epoch
+    at a time, the last draw cut at steps_to_train, so they are next_batch's
+    batches in its order and a finished run leaves streams.train_order as
+    steps_to_train next_batch calls would. The returned theta is the run's
+    own array, not initial_theta's output."""
     if type(config) not in _OPTIMIZERS:
         raise TypeError(f"no baseline optimizer is configured by {type(config).__name__}")
     if steps_to_train < 1:
@@ -178,7 +178,7 @@ def run_baseline(problem, config: SgdConfig | AdamConfig, steps_to_train: int,
         train_stream.next_batches(min(epoch, steps_to_train - start))
         for start in range(0, steps_to_train, epoch))
     for lr, batch in zip(step_rates(config, steps_to_train), batches):
-        loss, gradient = loss_and_gradient(problem, state.theta, batch)
+        loss, gradient = problem.batch_loss_and_gradient(state.theta, batch)
         log.record("sgd", [loss], lr)
         step(state, gradient, lr, config)
     return state.theta, log

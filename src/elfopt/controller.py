@@ -12,10 +12,10 @@ grid-search probe) is written out where it happens as three statements: draw
 the batches from their stream, measure them with the problem's oracle, and
 call TrainingLog.record, which stores the call's losses in a segment and
 numbers one row per load. Nothing else records a load, and the step counter
-state.t is the log's row count, len(log). A line search's
-round oracle draws one batch per step size and measures them all with one
-batch_losses_along call; an SGD step or grid-search probe measures its batch's
-loss and gradient with one loss_and_gradient call and steps with that gradient.
+state.t is the log's row count, len(log). A line search's round oracle draws
+one batch per step size and measures them all with one batch_losses_along
+call on the problem; an SGD step or grid-search probe measures its batch's
+loss and gradient with one batch_loss_and_gradient call and steps with it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .linesearch import MIN_INTERVAL_WIDTH, LineSearchConfig, LineSearchResult, elf_line_search
 from .poly import Polynomial, evaluate, real_roots_in
-from .problems import BatchStream, batch_losses_along, loss_and_gradient
+from .problems import BatchStream
 from .seeding import RngStreams
 
 
@@ -306,7 +306,7 @@ def trigger_line_searches(
 
         def oracle(s: np.ndarray) -> np.ndarray:
             batches = sample_stream.next_batches(s.size)
-            losses = batch_losses_along(problem, theta0, direction, s, batches)
+            losses = problem.batch_losses_along(theta0, direction, s, batches)
             state.log.record("line_search", losses.tolist(), state.update_step)
             return losses
 
@@ -435,7 +435,7 @@ def _unit_step(problem, stream, theta, step, state, event, expected=None, real=N
     computed inside unit_vector's fresh result, so theta is left as it was
     and the step allocates no other parameter-sized array."""
     state.current_batch = stream.next_batch()
-    loss, gradient = loss_and_gradient(problem, theta, state.current_batch)
+    loss, gradient = problem.batch_loss_and_gradient(theta, state.current_batch)
     state.log.record(event, [loss], step, expected, real)
     direction = unit_vector(gradient)
     if direction is None:

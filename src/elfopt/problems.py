@@ -1,33 +1,36 @@
 """Desk-scale stochastic problems with analytic batch gradients.
 
-Every problem exposes the same oracle surface: finite train/validation batch
-collections, a pure batch_loss(theta, batch), its analytic gradient, and a
-seeded initial parameter vector. Datasets are generated, never downloaded, so
-everything runs offline and the empirical-loss geometry stays checkable
-against closed forms or brute force.
+Every problem defines the same seven names, and callers call them as its
+own methods:
 
-A problem may also define two optional oracles, each with a module function
-that uses it when present and falls back to the required ones otherwise:
+- train_batches and validation_batches: finite batch collections;
+- initial_theta(rng): a seeded initial parameter vector;
+- batch_loss(theta, batch): a pure loss, for empirical_loss and the grid
+  search's baseline losses;
+- batch_gradient(theta, batch): its gradient, for line-search and dump
+  directions;
+- batch_loss_and_gradient(theta, batch): both from one forward pass, for
+  every SGD step, grid-search probe and baseline step;
+- batch_losses_along(theta0, direction, s, batches): given float arrays,
+  the loss of batches[i] at theta0 + s[i] * direction for every i in one
+  call, for line-search rounds and cross_section_profile.
 
-- batch_losses_along(theta0, direction, s, batches) measures many (step size,
-  batch) pairs on one line in one call; the fallback is a loop over
-  batch_loss. All three problems define it. The quadratic and logistic ones
-  stack every load; MlpBlobs runs its hidden layers per load and stacks only
-  the softmax head, as weights stacked per load in 3-D measured slower than
-  the loop on wide layers. A wide MlpBlobs may split a round's loads into
-  contiguous chunks (the rule is in the README): the caller runs the first
-  chunk and a ThreadPoolExecutor the others, each chunk with a parameter
-  buffer and activations of its own, writing its own rows of the round's
-  logits. Each load's arithmetic is the same in any thread, so every loss
-  keeps its bits.
-- batch_loss_and_gradient(theta, batch) returns (loss, gradient) from one
-  forward pass, for the loads that need both; the fallback is
-  (float(batch_loss), batch_gradient). All three problems define it and
-  derive batch_gradient from it, and the quadratic and logistic ones
-  batch_loss too, so each loss has one formula; MlpBlobs keeps a
-  forward-only batch_loss, as its backprop costs several forward passes.
-  NoisyQuadraticEnsemble's loss and gradient share only theta - center,
-  which it computes once.
+Datasets are generated, never downloaded, so everything runs offline and
+the empirical-loss geometry stays checkable against closed forms or brute
+force. Each problem derives batch_gradient from batch_loss_and_gradient,
+and the quadratic and logistic ones batch_loss too, so each loss has one
+formula; MlpBlobs keeps a forward-only batch_loss, as its backprop costs
+several forward passes. NoisyQuadraticEnsemble's loss and gradient share
+only theta - center, which it computes once.
+
+The quadratic and logistic batch_losses_along stack every load; MlpBlobs
+runs its hidden layers per load and stacks only the softmax head, as
+weights stacked per load in 3-D measured slower than the loop on wide
+layers. A wide MlpBlobs may split a round's loads into contiguous chunks
+(the rule is in the README): the caller runs the first chunk and a
+ThreadPoolExecutor the others, each chunk with a parameter buffer and
+activations of its own, writing its own rows of the round's logits. Each
+load's arithmetic is the same in any thread, so every loss keeps its bits.
 """
 
 from __future__ import annotations
@@ -79,36 +82,6 @@ def empirical_loss(problem, theta: np.ndarray) -> float:
     )
 
 
-def batch_losses_along(problem, theta0, direction, s, batches) -> np.ndarray:
-    """The loss of batches[i] at theta0 + s[i] * direction, for every i.
-
-    Uses the problem's own batch_losses_along(theta0, direction, s, batches)
-    when it has one, and a loop over batch_loss otherwise.
-    """
-    s = np.asarray(s, dtype=float)
-    theta0 = np.asarray(theta0, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    if s.shape != (len(batches),):
-        raise ValueError(f"{len(batches)} batches for step sizes of shape {s.shape}")
-    along = getattr(problem, "batch_losses_along", None)
-    if along is not None:
-        return np.asarray(along(theta0, direction, s, batches), dtype=float)
-    return np.array([problem.batch_loss(theta0 + step * direction, batch)
-                     for step, batch in zip(s.tolist(), batches)], dtype=float)
-
-
-def loss_and_gradient(problem, theta, batch) -> tuple[float, np.ndarray]:
-    """The loss and gradient of batch at theta.
-
-    Uses the problem's own batch_loss_and_gradient(theta, batch) when it has
-    one, and batch_loss then batch_gradient otherwise.
-    """
-    fused = getattr(problem, "batch_loss_and_gradient", None)
-    if fused is not None:
-        return fused(theta, batch)
-    return float(problem.batch_loss(theta, batch)), problem.batch_gradient(theta, batch)
-
-
 @dataclass(frozen=True)
 class CrossSectionProfile:
     """Dense per-batch loss curves along one line, plus their mean and
@@ -126,8 +99,10 @@ def cross_section_profile(problem, theta0, direction, s_grid) -> CrossSectionPro
     """Evaluate every training batch's loss at every step size on the line
     theta0 + s * direction."""
     s_grid = np.asarray(s_grid, dtype=float)
+    theta0 = np.asarray(theta0, dtype=float)
+    direction = np.asarray(direction, dtype=float)
     per_batch = np.array([
-        batch_losses_along(problem, theta0, direction, s_grid, [batch] * s_grid.size)
+        problem.batch_losses_along(theta0, direction, s_grid, [batch] * s_grid.size)
         for batch in problem.train_batches
     ])
     return CrossSectionProfile(

@@ -18,7 +18,6 @@ from elfopt.problems import (
     LogisticBlobs,
     MlpBlobs,
     NoisyQuadraticEnsemble,
-    batch_losses_along,
     empirical_loss,
 )
 from elfopt.regression import SampleSet, fit_polynomial, select_degree_and_fit
@@ -124,7 +123,7 @@ def test_criterion_03_line_search_oracle_accuracy():
 
         stream = BatchStream(problem.train_batches, substream(seed, "acceptance_batches"))
         result = elf_line_search(
-            lambda s: batch_losses_along(problem, theta0, d, s, stream.next_batches(s.size)),
+            lambda s: problem.batch_losses_along(theta0, d, s, stream.next_batches(s.size)),
             LineSearchConfig(),
             streams.line_search,
             cv_rng=streams.cv,
@@ -159,7 +158,7 @@ def test_criterion_04_noiseless_convergence():
     # single search: exact line minimum
     gradient = problem.batch_gradient(theta, 0)
     d = -gradient / np.linalg.norm(gradient)
-    single = elf_line_search(lambda s: batch_losses_along(problem, theta, d, s, [0] * s.size),
+    single = elf_line_search(lambda s: problem.batch_losses_along(theta, d, s, [0] * s.size),
                              LineSearchConfig(), np.random.default_rng(0))
     a = float(d @ problem.matrices[0] @ d)
     b = float(problem.batch_gradient(theta, 0) @ d)
@@ -178,7 +177,7 @@ def test_criterion_04_noiseless_convergence():
         if norm == 0.0:
             break
         d = -gradient / norm
-        result = elf_line_search(lambda s: batch_losses_along(problem, theta, d, s, [0] * s.size),
+        result = elf_line_search(lambda s: problem.batch_losses_along(theta, d, s, [0] * s.size),
                                  LineSearchConfig(), rng)
         searches += 1
         if result.valid:

@@ -27,7 +27,6 @@ from elfopt.problems import (
     LogisticBlobs,
     MlpBlobs,
     NoisyQuadraticEnsemble,
-    loss_and_gradient,
 )
 from elfopt.seeding import rng_streams
 
@@ -213,7 +212,7 @@ def test_each_row_logs_the_rate_its_step_applied(optimizer):
     state = init(problem.initial_theta(streams.theta_init))
     train_stream = BatchStream(problem.train_batches, streams.train_order)
     for rate in rates:
-        _, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
+        _, gradient = problem.batch_loss_and_gradient(state.theta, train_stream.next_batch())
         step(state, gradient, rate, config)
     np.testing.assert_array_equal(state.theta, theta)
 
@@ -314,7 +313,7 @@ def _reference_run(problem, config, steps, streams):
     train_stream = BatchStream(problem.train_batches, streams.train_order)
     rows = []
     for index in range(steps):
-        loss, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
+        loss, gradient = problem.batch_loss_and_gradient(state.theta, train_stream.next_batch())
         rows.append((index + 1, "sgd", loss, _rate(config, index, steps), None, None))
         step(state, gradient, _rate(config, index, steps), config)
     return state.theta, rows
@@ -395,7 +394,7 @@ def _per_step_run(problem, config, steps, streams):
     log = TrainingLog()
     train_stream = BatchStream(problem.train_batches, streams.train_order)
     for lr in step_rates(config, steps):
-        loss, gradient = loss_and_gradient(problem, state.theta, train_stream.next_batch())
+        loss, gradient = problem.batch_loss_and_gradient(state.theta, train_stream.next_batch())
         log.record("sgd", [loss], lr)
         step(state, gradient, lr, config)
     return state.theta, log

@@ -37,7 +37,6 @@ from elfopt.problems import (
     MlpBlobs,
     NoisyQuadraticEnsemble,
     empirical_loss,
-    loss_and_gradient,
 )
 from elfopt.seeding import rng_streams
 
@@ -141,7 +140,20 @@ def test_decrease_factor_without_crossing_returns_minimum():
 # rigged line-search phases
 # ---------------------------------------------------------------------------
 
-class RiggedLineProblem:
+class LoopOracles:
+    """The round oracle as a batch_loss loop, and the fused oracle as
+    batch_loss then batch_gradient: the references the problems' own
+    oracles are checked against."""
+
+    def batch_losses_along(self, theta0, direction, s, batches):
+        return np.array([self.batch_loss(theta0 + step * direction, batch)
+                         for step, batch in zip(s.tolist(), batches)], dtype=float)
+
+    def batch_loss_and_gradient(self, theta, batch):
+        return float(self.batch_loss(theta, batch)), self.batch_gradient(theta, batch)
+
+
+class RiggedLineProblem(LoopOracles):
     """1-D landscape rewritten per line: the loss only depends on the
     distance walked from the point where the line's direction was taken.
 
@@ -259,7 +271,7 @@ def test_zero_momentum_direction_is_normalized_negative_gradient():
 # grid search
 # ---------------------------------------------------------------------------
 
-class OneDQuadratic:
+class OneDQuadratic(LoopOracles):
     def __init__(self, center=3.0, curvature=1.0):
         self.center = center
         self.curvature = curvature
@@ -667,7 +679,7 @@ def test_unit_step_leaves_its_theta_and_moves_by_step_times_unit_vector(monkeypa
         before = theta.copy()
         loss, moved = unit_step(problem, stream, theta, step, state, event, *rest)
         assert theta.tobytes() == before.tobytes()
-        _, gradient = loss_and_gradient(problem, before, state.current_batch)
+        _, gradient = problem.batch_loss_and_gradient(before, state.current_batch)
         assert moved.tobytes() == (before - step * unit_vector(gradient)).tobytes()
         assert not np.shares_memory(moved, theta)
         calls.append(event)
@@ -773,26 +785,27 @@ def test_divergence_inside_a_round_keeps_the_log_up_to_the_first_non_finite_load
     assert str(raised.value).endswith(f"at step {state.t}")
 
 
-class WithoutRoundOracle:
-    """Delegates to a problem but hides its batch_losses_along, so every
-    line-search round falls back to the batch_loss loop."""
-
-    hidden = "batch_losses_along"
+class Delegating:
+    """Delegates every name to a problem."""
 
     def __init__(self, problem):
         self._problem = problem
 
     def __getattr__(self, name):
-        if name == self.hidden:
-            raise AttributeError(name)
         return getattr(self._problem, name)
 
 
-class WithoutFusedOracle(WithoutRoundOracle):
-    """Hides batch_loss_and_gradient instead, so every SGD step and grid
-    probe falls back to batch_loss, then batch_gradient."""
+class WithoutRoundOracle(Delegating):
+    """Measures every line-search round with the batch_loss loop."""
 
-    hidden = "batch_loss_and_gradient"
+    batch_losses_along = LoopOracles.batch_losses_along
+
+
+class WithoutFusedOracle(Delegating):
+    """Measures every SGD step and grid probe with batch_loss, then
+    batch_gradient."""
+
+    batch_loss_and_gradient = LoopOracles.batch_loss_and_gradient
 
 
 @pytest.mark.parametrize("name", ["quadratic", "logistic-hard", "mlp"])

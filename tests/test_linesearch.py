@@ -16,6 +16,7 @@ from elfopt.linesearch import (
     third_quartile,
 )
 from elfopt.poly import Polynomial
+from elfopt.problems import MlpBlobs
 from elfopt.regression import SampleSet
 
 
@@ -51,6 +52,41 @@ def test_degree_sweep_capped_by_smallest_training_fold():
         result = elf_line_search(lambda s: (s - 0.5) ** 4 - s, config, np.random.default_rng(seed))
         assert result.batches_consumed == 6
         assert result.fit.chosen_degree <= 3
+
+
+def _wrong_on_rounds(wrong):
+    """A parabola oracle that measures the anchor right and returns
+    wrong(losses) for each round."""
+    def oracle(s):
+        losses = (s - 1.0) ** 2
+        return losses if s.size == 1 else wrong(losses)
+    return oracle
+
+
+def _mlp_one_batch_short():
+    """MlpBlobs.batch_losses_along handed one batch fewer than each round's
+    step sizes: it measures the batches it gets and raises nothing."""
+    problem = MlpBlobs(n_train=300, n_val=100, batch_size=25, hidden1=8, hidden2=6,
+                       rng=np.random.default_rng(3))
+    theta0 = problem.initial_theta(np.random.default_rng(4))
+    direction = np.full(problem.dim, problem.dim ** -0.5)
+
+    def oracle(s):
+        handed = max(1, s.size - 1)
+        losses = problem.batch_losses_along(theta0, direction, s, problem.train_batches[:handed])
+        assert losses.shape == (handed,)
+        return losses
+    return oracle
+
+
+@pytest.mark.parametrize("make_oracle, n, shape", [
+    (lambda: _wrong_on_rounds(lambda losses: losses[:-1]), 100, r"\(99,\)"),
+    (lambda: _wrong_on_rounds(lambda losses: losses[:, None]), 100, r"\(100, 1\)"),
+    (_mlp_one_batch_short, 5, r"\(4,\)"),
+], ids=["one-loss-short", "column", "mlp-one-batch-short"])
+def test_a_round_of_other_than_one_loss_per_step_size_raises(make_oracle, n, shape):
+    with pytest.raises(ValueError, match=f"^the oracle returned shape {shape} for {n} step sizes$"):
+        elf_line_search(make_oracle(), LineSearchConfig(n=n), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("field", [{"folds": 1}, {"max_degree": -1}])

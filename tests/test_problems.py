@@ -3,7 +3,6 @@ forms of the quadratic ensemble, cross-section diagnostics, batch streams."""
 
 import sys
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,10 +17,8 @@ from elfopt.problems import (
     MlpBlobs,
     NoisyQuadraticEnsemble,
     _sigmoid,
-    batch_losses_along,
     cross_section_profile,
     empirical_loss,
-    loss_and_gradient,
 )
 
 
@@ -33,6 +30,15 @@ def _all_problems():
         MlpBlobs(n_train=300, n_val=100, batch_size=25, hidden1=8, hidden2=6,
                  rng=np.random.default_rng(3)),
     ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["quadratic", "logistic", "mlp"])
+def test_every_problem_defines_the_seven_interface_names(index):
+    problem = _all_problems()[index]
+    for name in ("batch_loss", "batch_gradient", "batch_loss_and_gradient",
+                 "batch_losses_along", "initial_theta"):
+        assert callable(getattr(problem, name, None)), name
+    assert len(problem.train_batches) > 0 and len(problem.validation_batches) > 0
 
 
 def test_gradients_match_central_differences():
@@ -79,10 +85,8 @@ def test_batch_losses_along_matches_the_batch_loss_loop(index):
     picks[:4] = picks[0]
     batches = [problem.train_batches[i] for i in picks]
     looped = [problem.batch_loss(theta0 + step * d, batch) for step, batch in zip(s, batches)]
-    along = batch_losses_along(problem, theta0, d, s, batches)
+    along = problem.batch_losses_along(theta0, d, s, batches)
     np.testing.assert_allclose(along, looped, rtol=1e-12, atol=0.0)
-    with pytest.raises(ValueError):
-        batch_losses_along(problem, theta0, d, s, batches[:-1])
 
 
 def _wide_mlp():
@@ -107,7 +111,6 @@ def _force_round_workers(monkeypatch, workers):
 def test_mlp_round_oracle_is_bit_identical_to_the_batch_loss_loop(make_problem, monkeypatch):
     problem = make_problem()
     threads = threading.active_count()
-    assert hasattr(problem, "batch_losses_along")
     rng = np.random.default_rng(37)
     theta0 = problem.initial_theta(rng) + rng.normal(scale=0.3, size=problem.dim)
     d = rng.normal(size=problem.dim)
@@ -479,16 +482,6 @@ def test_sigmoid_matches_the_masked_formula_at_the_edges():
     want = _masked_sigmoid(z)
     assert got.tobytes() == want.tobytes()
     assert np.isnan(got[4]) and got[2] == 1.0 and got[3] == 0.0
-
-
-def test_loss_and_gradient_falls_back_to_the_two_oracles():
-    quadratic = NoisyQuadraticEnsemble(n_batches=12, dim=6, rng=np.random.default_rng(1))
-    problem = SimpleNamespace(batch_loss=quadratic.batch_loss,
-                              batch_gradient=quadratic.batch_gradient)
-    theta = np.random.default_rng(7).normal(size=6)
-    loss, grad = loss_and_gradient(problem, theta, 3)
-    assert type(loss) is float and loss == problem.batch_loss(theta, 3)
-    assert grad.tobytes() == problem.batch_gradient(theta, 3).tobytes()
 
 
 # ---------------------------------------------------------------------------
