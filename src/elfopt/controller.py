@@ -153,7 +153,9 @@ class OptimizerState:
     losses are window_losses[:window_count]; run gives the buffer
     min(window_size, steps_to_train) + 1 slots: a window holds at most
     window_size + 1 losses between resets (search phases, boundaries), and
-    never more than the run's steps_to_train SGD steps."""
+    never more than the run's steps_to_train SGD steps. momentum_buffer is
+    the state's own float array, shaped as theta, which each search phase
+    updates in place; theta is replaced, never written in place."""
 
     theta: np.ndarray
     momentum_buffer: np.ndarray
@@ -249,13 +251,14 @@ def initial_grid_search(
     """Probe candidate step sizes from largest to smallest and keep the first
     (largest) whose probe losses beat standing still.
 
-    Every probe runs unit-gradient SGD steps from a fresh copy of the current
-    parameters; the baseline is the mean batch loss at the unmoved parameters
-    over the same number of batches. Falls back to the smallest candidate.
+    Every probe runs unit-gradient SGD steps from the current parameters,
+    which no step writes (each returns a new array), so none is copied; the
+    baseline is the mean batch loss at the unmoved parameters over the same
+    number of batches. Falls back to the smallest candidate.
     """
     probe = config.grid_search_probe_steps
     candidates = sorted(config.grid_search_candidates, reverse=True)
-    theta0 = state.theta.copy()
+    theta0 = state.theta
 
     batches = train_stream.next_batches(probe)
     baseline_losses = [float(problem.batch_loss(theta0, batch)) for batch in batches]
@@ -292,17 +295,30 @@ def trigger_line_searches(
     suggestions; searches without a positive minimum are discarded, and when
     none are valid the step size keeps its previous value. Every line-search
     sample is drawn from sample_stream.
+
+    Parameter-sized arrays: besides theta and the momentum buffer (updated
+    in place), a search holds one direction, which becomes the next theta
+    when its step is applied, and the round oracle one parameter buffer per
+    round worker. A search's gradient lives only until it is folded into the
+    buffer, and its direction and theta0 (theta itself, not a copy) are
+    dropped before the next search's gradient.
     """
     applied_steps: list[float] = []
     improvements: list[float] = []
     applied_improvements: list[float] = []
+    momentum = state.momentum_buffer
     for _ in range(config.lines_to_average):
         gradient = problem.batch_gradient(state.theta, state.current_batch)
-        state.momentum_buffer = config.momentum_beta * state.momentum_buffer + gradient
-        direction = unit_vector(-state.momentum_buffer)
+        momentum *= config.momentum_beta
+        momentum += gradient
+        del gradient
+        direction = unit_vector(momentum)
         if direction is None:
             continue
-        theta0 = state.theta.copy()
+        # -unit_vector(momentum) is unit_vector(-momentum) bit for bit, as
+        # norms are sign-blind; it is negated in unit_vector's fresh result.
+        np.negative(direction, out=direction)
+        theta0 = state.theta
 
         def oracle(s: np.ndarray) -> np.ndarray:
             batches = sample_stream.next_batches(s.size)
@@ -319,13 +335,17 @@ def trigger_line_searches(
                 config.decrease_factor_delta,
                 float(result.samples.positions.max()),
             )
-            state.theta = theta0 + s_target * direction
+            # theta0 + s_target * direction, formed inside direction.
+            direction *= s_target
+            state.theta = np.add(theta0, direction, out=direction)
             applied_steps.append(s_target)
             improvements.append(result.expected_improvement)
             applied_improvements.append(
                 evaluate(result.fit.polynomial, 0.0)
                 - evaluate(result.fit.polynomial, s_target)
             )
+        # The next search's gradient runs without this one's arrays.
+        del direction, theta0, oracle
 
     if applied_steps:
         state.update_step = float(np.mean(applied_steps))

@@ -21,11 +21,17 @@ NEWTON_POLISH_STEPS = 2
 # size on the bracket (B its largest |end|), the scale ROOT_IMAG_TOL is read
 # on too. A polished simple root lies a few machine epsilons from 0 on it,
 # and a double root that comes back as a near-real pair about
-# ROOT_IMAG_TOL**2 times a power of 2 in the degree. An eigenvalue lost to
-# rounding among coefficients of very different sizes lies further out: at
-# 8.7e-5 for the one that a far root at -1.16e15 puts at 0.25 (polished to
-# 0.0985) on [0, 5.15], p = -4.55e-12 - 7.45e17 s + 9.97e18 s**2 + 8572 s**3.
+# ROOT_IMAG_TOL**2 times a power of 2 in the degree. An eigenvalue that is
+# no root, such as an exact 0 that rounding makes of a pair +-i, lies
+# further out.
 ROOT_VALUE_TOL = 1e-8
+# A near-real eigenvalue in the bracket whose polish is still past
+# ROOT_VALUE_TOL takes up to this many more Newton steps, each kept only
+# while it shrinks |p|, before it is dropped. A far root can skew a real
+# root's eigenvalue: at -1.16e15 it puts the root 0.0747 of p = -4.55e-12
+# - 7.45e17 s + 9.97e18 s**2 + 8572 s**3 at 0.25, which the two polish
+# steps take only to 0.0985, |p| at 8.7e-5 of p's size on [0, 5.15].
+NEWTON_RESCUE_STEPS = 50
 # A top coefficient whose term on the bracket is within this fraction of
 # p's largest term is dropped before the eigenvalues are taken.
 NEGLIGIBLE_TERM = float(np.finfo(float).eps)
@@ -152,12 +158,16 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
             for r, w, x, v in zip(roots, values, polished, polished_values)]
     # p's size on the bracket, by Horner's rule on Python floats, which
     # overflow to inf without a warning. Only a finite misfit drops a root:
-    # an |p| that overflowed (inf or nan) is no evidence against it.
+    # an |p| that overflowed (inf or nan) is no evidence against it. A
+    # misfit is polished on first (NEWTON_RESCUE_STEPS).
     size, bound = 0.0, max(abs(lo), abs(hi))
     for c in reversed(trimmed):
         size = abs(c) + size * bound
+    limit = ROOT_VALUE_TOL * size
+    kept = [_polish_on(root, residual, powers, coef, slope_coef, reach)
+            if limit < residual < math.inf else (root, residual) for root, residual in kept]
     roots = sorted(root for root, residual in kept
-                   if lo <= root <= hi and not ROOT_VALUE_TOL * size < residual < math.inf)
+                   if lo <= root <= hi and not limit < residual < math.inf)
     distinct = [r for r, before in zip(roots, [-math.inf, *roots]) if r - before > tolerance]
     return np.ldexp(distinct, exponent) if exponent else np.array(distinct)
 
@@ -173,6 +183,22 @@ def _values_and_slopes(s: list[float], powers, coef, slope_coef, reach: float):
             return _values_and_slopes(s, powers, coef, slope_coef, math.inf)
     vander = np.array(s)[:, None] ** powers
     return (vander @ coef).tolist(), (vander[:, :-1] @ slope_coef).tolist()
+
+
+def _polish_on(root: float, residual: float, powers, coef, slope_coef, reach: float):
+    """(root, |p(root)|) after up to NEWTON_RESCUE_STEPS Newton steps from
+    root, where residual is |p(root)|, stopping at the first step that does
+    not shrink |p|."""
+    (value,), (slope,) = _values_and_slopes([root], powers, coef, slope_coef, reach)
+    for _ in range(NEWTON_RESCUE_STEPS):
+        if slope == 0.0:
+            break
+        step = root - value / slope
+        (step_value,), (step_slope,) = _values_and_slopes([step], powers, coef, slope_coef, reach)
+        if not abs(step_value) < residual:
+            break
+        root, residual, value, slope = step, abs(step_value), step_value, step_slope
+    return root, residual
 
 
 def _eigenvalues(terms: list[float]) -> list[complex]:

@@ -297,6 +297,12 @@ def _sigmoid(z):
     return np.divide(numerator, e, out=numerator)
 
 
+def _one_minus_square(h):
+    """1 - h**2, written into h."""
+    np.square(h, out=h)
+    return np.subtract(1.0, h, out=h)
+
+
 def _split_batches(x, y, batch_size):
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -541,10 +547,14 @@ class MlpBlobs(_Blobs):
         probs /= m
         np.matmul(h2.T, probs, out=dw3)
         np.sum(probs, axis=0, out=db3)
-        dh2 = (probs @ w3.T) * (1.0 - h2**2)
+        # Each tanh layer's 1 - h**2 overwrites h once the layer's weight
+        # gradient has read it; the products round as (a @ w.T) * (1 - h**2).
+        dh2 = probs @ w3.T
+        dh2 *= _one_minus_square(h2)
         np.matmul(h1.T, dh2, out=dw2)
         np.sum(dh2, axis=0, out=db2)
-        dh1 = (dh2 @ w2.T) * (1.0 - h1**2)
+        dh1 = dh2 @ w2.T
+        dh1 *= _one_minus_square(h1)
         np.matmul(x.T, dh1, out=dw1)
         np.sum(dh1, axis=0, out=db1)
         return float(loss), grad

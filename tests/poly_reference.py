@@ -4,7 +4,8 @@ evaluate, derivative and real_roots_in call npoly.polyval, npoly.polyder and
 npoly.polyroots; real_roots_in drops, as elfopt.poly does, the top
 coefficients whose terms on the bracket's power-of-two scale npoly.polytrim
 cuts at NEGLIGIBLE_TERM of the largest, and an eigenvalue whose |p| is past
-ROOT_VALUE_TOL of p's size on the bracket, where npoly.polyroots alone would
+ROOT_VALUE_TOL of p's size on the bracket even after up to
+NEWTON_RESCUE_STEPS more Newton steps, where npoly.polyroots alone would
 return it. Where the raw coefficients' eigenvalues do not converge, it takes
 those of the power-of-two-scaled ones, as elfopt.poly does.
 closest_minimum_to_zero and solve_for_value_nearest read their answers off
@@ -17,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from elfopt.poly import (NEGLIGIBLE_TERM, NEWTON_POLISH_STEPS, ROOT_IMAG_TOL, ROOT_VALUE_TOL,
-                         TIE_TOL, Polynomial)
+from elfopt.poly import (NEGLIGIBLE_TERM, NEWTON_POLISH_STEPS, NEWTON_RESCUE_STEPS, ROOT_IMAG_TOL,
+                         ROOT_VALUE_TOL, TIE_TOL, Polynomial)
 
 
 def evaluate(p: Polynomial, s):
@@ -78,6 +79,19 @@ def real_roots_in(p: Polynomial, bracket: tuple[float, float]) -> np.ndarray:
     residuals = np.abs(np.where(better, polished_values, values))
     with np.errstate(over="ignore"):
         limit = ROOT_VALUE_TOL * npoly.polyval(max(abs(lo), abs(hi)), np.abs(coef))
+    misfit = (residuals > limit) & (residuals < np.inf)
+    for i in np.flatnonzero(misfit):
+        root, residual = roots[i:i + 1], residuals[i]
+        value, slope = values_and_slopes(root)
+        for _ in range(NEWTON_RESCUE_STEPS):
+            if slope[0] == 0.0:
+                break
+            step = root - value / slope
+            step_value, step_slope = values_and_slopes(step)
+            if not abs(step_value[0]) < residual:
+                break
+            root, residual, value, slope = step, abs(step_value[0]), step_value, step_slope
+        roots[i], residuals[i] = root[0], residual
     misfit = (residuals > limit) & (residuals < np.inf)
     roots = np.unique(roots[(roots >= lo) & (roots <= hi) & ~misfit])
     return np.ldexp(roots[np.diff(roots, prepend=-np.inf) > tolerance], exponent)

@@ -3,6 +3,7 @@ with rigged oracles, grid search, step accounting, pinned run decisions and
 config validation."""
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elfopt import controller, linesearch
+from elfopt import controller, linesearch, problems
 from elfopt.baselines import AdamConfig, SgdConfig, StepDecaySchedule, run_baseline
 from elfopt.controller import (
     DivergenceError,
@@ -265,6 +266,35 @@ def test_zero_momentum_direction_is_normalized_negative_gradient():
     # direction must be -g/|g| = [-1]; samples step along it
     assert captured["first_positive_theta"][0] < 0.0
     assert state.theta[0] < 0.0
+
+
+def test_a_search_phase_holds_a_direction_and_a_buffer_per_round_worker():
+    """One trigger_line_searches call on a wide MLP allocates, past its
+    start, the phase's new theta, one search direction and one parameter
+    buffer per round worker, plus batch-sized activations: at most
+    4 + 1.5 * (workers - 1) parameter vectors at its peak. The momentum
+    buffer is updated in place, and theta0 is never copied."""
+    streams = rng_streams(0)
+    problem = MlpBlobs(n_train=1000, n_val=500, hidden1=256, hidden2=256, rng=streams.data)
+    config = ElfConfig(line_search=LineSearchConfig(k=2, n=20))
+    theta = problem.initial_theta(streams.theta_init)
+    train = BatchStream(problem.train_batches, streams.train_order)
+    state = OptimizerState(theta, np.zeros_like(theta), update_step=0.1,
+                           current_batch=train.next_batch())
+    val = BatchStream(problem.validation_batches, streams.val_order)
+    momentum = state.momentum_buffer
+    del theta
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trigger_line_searches(state, config, problem, val, streams.line_search, streams.cv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(state.log.line_searches) == config.lines_to_average
+    assert state.momentum_buffer is momentum and momentum.any()
+    workers = problems._round_workers(256 * 256)
+    assert (peak - start) / (problem.dim * 8) <= 4.0 + 1.5 * (workers - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +650,22 @@ def test_unit_vector_is_the_numpy_quotient_on_ordinary_vectors():
             assert unit_vector(vector).tobytes() == (vector / norm).tobytes()
         else:   # the sum of squares underflows at 1e-300
             assert unit_vector(vector) is None
-    # No direction where the norm is not positive.
-    assert unit_vector(np.zeros(3)) is None
-    assert unit_vector(np.array([np.nan, 1.0])) is None
+    # No direction where the norm is not positive, nor for its negation.
+    for vector in (np.zeros(3), np.array([np.nan, 1.0])):
+        assert unit_vector(vector) is None and unit_vector(-vector) is None
+
+
+@pytest.mark.parametrize("vector", [
+    np.random.default_rng(2).normal(size=451),
+    np.random.default_rng(3).normal(size=50) * 1e250,      # entries past 1e154
+    np.array([1.7e308, -1.7e308, 1e300]),                  # a norm past the float range
+])
+def test_unit_vector_of_a_negated_vector_is_the_negated_unit_vector(vector):
+    # What trigger_line_searches rests on when it negates unit_vector's
+    # result in place instead of normalizing a negated copy.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert unit_vector(-vector).tobytes() == (-unit_vector(vector)).tobytes()
 
 
 def test_unit_vector_of_entries_past_1e154_warns_of_nothing():

@@ -321,6 +321,24 @@ def test_an_eigenvalue_that_is_no_root_of_p_is_dropped(coef, bracket):
     assert real_roots_in(Polynomial(coef), bracket).size == 0
 
 
+def test_a_root_whose_eigenvalue_a_far_root_skews_is_polished_on_and_kept():
+    # The eigenvalues are -1.16e15, 0 and 0.25; two polish steps take 0.25
+    # only to 0.0985, where |p| is 8.7e-5 of p's size on the bracket, and
+    # the parent dropped it. p changes sign at the root, near 0.0747399.
+    coef = [-4.554795157647876e-12, -7.454124381524744e+17, 9.973417347297436e+18,
+            8571.982856969384]
+    bracket = (0.0, 5.153736290538894)
+    expected = [r.real for r in np.roots(coef[::-1]) if 0.01 < r.real < bracket[1]]
+
+    roots = real_roots_in(Polynomial(coef), bracket)
+
+    np.testing.assert_allclose(roots, expected, rtol=1e-12)
+    np.testing.assert_allclose(roots, [0.0747399], rtol=1e-6)
+    p = Polynomial(coef)
+    assert evaluate(p, roots[0] - 1e-6) < 0.0 < evaluate(p, roots[0] + 1e-6)
+    assert roots.tobytes() == reference.real_roots_in(p, bracket).tobytes()
+
+
 def test_a_negligible_leading_coefficient_keeps_the_roots_of_the_rest():
     # numpy's eigenvalues of the full p put a root at 0, where p(0) = -1.83,
     # and lose the real one near 1.09 to rounding. The s**6 term is at most
@@ -386,7 +404,7 @@ def _coefficients_and_bracket(draw):
          s=7.0, target=0.0, anchor_share=0.3)
 @example(case=(np.array([-5.0, 0.0]), (0.0, 1.0)), s=0.0, target=5.0, anchor_share=0.5)
 # A far root at -1.16e15 skews the eigenvalues: the root near 0.0747 comes
-# back as 0.25, which the polish takes to 0.0985, no root of p, so it is dropped.
+# back as 0.25, which the polish takes to 0.0985 and the rescue steps on to it.
 @example(case=(np.array([-4.554795157647876e-12, -7.454124381524744e+17,
                          9.973417347297436e+18, 8571.982856969384]), (0.0, 5.153736290538894)),
          s=1.0, target=1.0, anchor_share=0.5)
