@@ -180,14 +180,14 @@ class OptimizerState:
 
 
 def unit_vector(vector: np.ndarray) -> np.ndarray | None:
-    """vector / np.linalg.norm(vector) of a 1-D float array, bit for bit, or
-    None where that norm is not positive (a zero vector, or a nan entry).
-    Where the sum of squares overflows though every entry is finite (entries
-    past about 1e154), the norm is taken of the vector over its largest
-    |entry| and scaled back; where even that norm passes the float range,
-    the scaled vector is divided by its own norm, so the result still has
-    unit norm instead of being zero. np.vdot, unlike the dot np.linalg.norm
-    takes, warns of no overflow."""
+    """vector / np.linalg.norm(vector) of a 1-D float array, bit for bit,
+    written into vector; None, with vector untouched, where that norm is not
+    positive (a zero vector, or a nan entry). Where the sum of squares
+    overflows though every entry is finite (entries past about 1e154), the
+    norm is taken of the vector over its largest |entry| and scaled back;
+    where even that norm passes the float range, the scaled vector is divided
+    by its own norm, so the result still has unit norm instead of being zero.
+    np.vdot, unlike the dot np.linalg.norm takes, warns of no overflow."""
     norm = math.sqrt(np.vdot(vector, vector))
     if norm == math.inf and np.isfinite(vector).all():
         scale = float(np.max(np.abs(vector)))
@@ -195,8 +195,8 @@ def unit_vector(vector: np.ndarray) -> np.ndarray | None:
         scaled_norm = math.sqrt(np.vdot(scaled, scaled))
         norm = scale * scaled_norm
         if norm == math.inf:
-            vector, norm = scaled, scaled_norm
-    return vector / norm if norm > 0.0 else None
+            return np.divide(scaled, scaled_norm, out=vector)
+    return np.divide(vector, norm, out=vector) if norm > 0.0 else None
 
 
 def trigger_terms(
@@ -247,6 +247,7 @@ def initial_grid_search(
     config: ElfConfig,
     train_stream: BatchStream,
     state: OptimizerState,
+    steps_to_train: int,
 ) -> float:
     """Probe candidate step sizes from largest to smallest and keep the first
     (largest) whose probe losses beat standing still.
@@ -254,9 +255,11 @@ def initial_grid_search(
     Every probe runs unit-gradient SGD steps from the current parameters,
     which no step writes (each returns a new array), so none is copied; the
     baseline is the mean batch loss at the unmoved parameters over the same
-    number of batches. Falls back to the smallest candidate.
+    number of batches. A probe takes at most steps_to_train steps, so a
+    validated probe count too large for memory still runs. Falls back to the
+    smallest candidate.
     """
-    probe = config.grid_search_probe_steps
+    probe = min(config.grid_search_probe_steps, steps_to_train)
     candidates = sorted(config.grid_search_candidates, reverse=True)
     theta0 = state.theta
 
@@ -283,8 +286,7 @@ def trigger_line_searches(
     config: ElfConfig,
     problem,
     sample_stream: BatchStream,
-    line_rng: np.random.Generator,
-    cv_rng: np.random.Generator,
+    streams: RngStreams,
 ) -> None:
     """Measure a new step size with consecutive line searches.
 
@@ -294,7 +296,8 @@ def trigger_line_searches(
     moved parameters. The SGD step size becomes the mean over the valid
     suggestions; searches without a positive minimum are discarded, and when
     none are valid the step size keeps its previous value. Every line-search
-    sample is drawn from sample_stream.
+    sample is drawn from sample_stream, and each search draws its step sizes
+    from streams.line_search and its CV folds from streams.cv.
 
     Parameter-sized arrays: besides theta and the momentum buffer (updated
     in place), a search holds one direction, which becomes the next theta
@@ -303,21 +306,16 @@ def trigger_line_searches(
     buffer, and its direction and theta0 (theta itself, not a copy) are
     dropped before the next search's gradient.
     """
-    applied_steps: list[float] = []
-    improvements: list[float] = []
-    applied_improvements: list[float] = []
+    accepted: list[tuple[float, LineSearchResult]] = []   # (s_target, search)
     momentum = state.momentum_buffer
     for _ in range(config.lines_to_average):
         gradient = problem.batch_gradient(state.theta, state.current_batch)
         momentum *= config.momentum_beta
         momentum += gradient
         del gradient
-        direction = unit_vector(momentum)
+        direction = unit_vector(np.negative(momentum))
         if direction is None:
             continue
-        # -unit_vector(momentum) is unit_vector(-momentum) bit for bit, as
-        # norms are sign-blind; it is negated in unit_vector's fresh result.
-        np.negative(direction, out=direction)
         theta0 = state.theta
 
         def oracle(s: np.ndarray) -> np.ndarray:
@@ -326,7 +324,7 @@ def trigger_line_searches(
             state.log.record("line_search", losses.tolist(), state.update_step)
             return losses
 
-        result = elf_line_search(oracle, config.line_search, line_rng, cv_rng)
+        result = elf_line_search(oracle, config.line_search, streams.line_search, streams.cv)
         state.log.line_searches.append(result)
         if result.valid:
             s_target = apply_decrease_factor(
@@ -338,18 +336,14 @@ def trigger_line_searches(
             # theta0 + s_target * direction, formed inside direction.
             direction *= s_target
             state.theta = np.add(theta0, direction, out=direction)
-            applied_steps.append(s_target)
-            improvements.append(result.expected_improvement)
-            applied_improvements.append(
-                evaluate(result.fit.polynomial, 0.0)
-                - evaluate(result.fit.polynomial, s_target)
-            )
+            accepted.append((s_target, result))
         # The next search's gradient runs without this one's arrays.
         del direction, theta0, oracle
 
-    if applied_steps:
-        state.update_step = float(np.mean(applied_steps))
-        state.expected_per_step_improvement = float(np.mean(improvements)) / config.window_size
+    if accepted:
+        state.update_step = float(np.mean([s_target for s_target, _ in accepted]))
+        state.expected_per_step_improvement = float(
+            np.mean([search.expected_improvement for _, search in accepted])) / config.window_size
     else:
         # No line produced a usable minimum: the step size keeps its previous
         # value, but the improvement expectation is re-measured as zero so an
@@ -364,7 +358,8 @@ def trigger_line_searches(
     # A phase right after the grid search has no SGD losses yet; the grid
     # search left its baseline level in last_mean_loss.
     pre_level = state.window_mean() if state.window_count else state.last_mean_loss
-    state.last_mean_loss = pre_level - float(np.sum(applied_improvements))
+    state.last_mean_loss = pre_level - float(
+        np.sum([search.drop_to(s_target) for s_target, search in accepted]))
     state.window_count = 0
     state.t_of_last_update = state.t
 
@@ -378,10 +373,13 @@ def run(
     """Train for steps_to_train batch loads and return (state, state.log).
 
     Start-up: an optional grid search, of at most steps_to_train probe steps
-    per candidate, picks the largest workable step size (it seeds both the
-    first SGD step and the line-search interval width), then one search
+    per candidate, picks the largest workable step size, then one search
     phase measures the actual step. After that the trigger predicate
-    decides on every window boundary whether to re-measure.
+    decides on every window boundary whether to re-measure. The grid's pick
+    is the first SGD step, and whenever grid_search_probe_steps > 0 it
+    replaces config.line_search.initial_interval_width as every search's
+    first interval width; the configured width is used only without a grid
+    search.
     """
     if steps_to_train < 1:
         raise ValueError("steps_to_train must be >= 1")
@@ -393,20 +391,13 @@ def run(
                      if config.sample_from_validation else train_stream)
 
     if config.grid_search_probe_steps > 0:
-        # A probe is cut to the run's budget, so a validated probe count
-        # too large for memory still runs.
-        probe = min(config.grid_search_probe_steps, steps_to_train)
-        selected = initial_grid_search(
-            problem, replace(config, grid_search_probe_steps=probe), train_stream, state)
-        state.update_step = float(selected)
+        state.update_step = float(
+            initial_grid_search(problem, config, train_stream, state, steps_to_train))
         config = replace(config, line_search=replace(
-            config.line_search, initial_interval_width=float(selected)))
+            config.line_search, initial_interval_width=state.update_step))
     if state.current_batch is None:
         _sgd_step(problem, state, train_stream)
-    trigger_line_searches(
-        state, config, problem, sample_stream,
-        streams.line_search, streams.cv,
-    )
+    trigger_line_searches(state, config, problem, sample_stream, streams)
 
     while state.t < steps_to_train:
         mean_window = state.window_mean()
@@ -421,10 +412,7 @@ def run(
         )
         if fires:
             t_before = state.t
-            trigger_line_searches(
-                state, config, problem, sample_stream,
-                streams.line_search, streams.cv,
-            )
+            trigger_line_searches(state, config, problem, sample_stream, streams)
             if state.t > t_before:
                 continue
             # unit_vector gave no search direction: no batch was loaded,
@@ -452,8 +440,9 @@ def _unit_step(problem, stream, theta, step, state, event, expected=None, real=N
     step as the row's update_step, and return (loss, theta moved by step along
     the batch's normalized negative gradient, or theta itself when
     unit_vector gives none). The moved theta is theta - step * direction
-    computed inside unit_vector's fresh result, so theta is left as it was
-    and the step allocates no other parameter-sized array."""
+    computed inside the oracle's gradient, which unit_vector normalizes in
+    place, so theta is left as it was and the step allocates no other
+    parameter-sized array."""
     state.current_batch = stream.next_batch()
     loss, gradient = problem.batch_loss_and_gradient(theta, state.current_batch)
     state.log.record(event, [loss], step, expected, real)

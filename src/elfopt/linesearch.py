@@ -34,6 +34,8 @@ MIN_INTERVAL_WIDTH = float(np.finfo(float).eps)
 class LineSearchConfig:
     k: int = 5                            # interval adaptations
     n: int = 100                          # losses sampled per adaptation
+    # Whenever ElfConfig.grid_search_probe_steps > 0, run() replaces this by
+    # the grid search's pick; config.txt still records the configured value.
     initial_interval_width: float = 1.0
     min_window_size: int = 50
     folds: int = 5
@@ -72,13 +74,14 @@ class LineSearchResult:
     def valid(self) -> bool:
         return self.minimum_position is not None and self.minimum_position > 0.0
 
+    def drop_to(self, s: float) -> float:
+        """The fit's drop from step 0 to step s."""
+        return evaluate(self.fit.polynomial, 0.0) - evaluate(self.fit.polynomial, s)
+
     @property
     def expected_improvement(self) -> float | None:
-        """The fit's drop from step 0 to the minimum; None unless valid."""
-        if not self.valid:
-            return None
-        poly = self.fit.polynomial
-        return evaluate(poly, 0.0) - evaluate(poly, self.minimum_position)
+        """The fit's drop to its minimum; None unless valid."""
+        return self.drop_to(self.minimum_position) if self.valid else None
 
     @property
     def batches_consumed(self) -> int:

@@ -10,17 +10,18 @@ own methods:
 - batch_gradient(theta, batch): its gradient, for line-search and dump
   directions;
 - batch_loss_and_gradient(theta, batch): both from one forward pass, for
-  every SGD step, grid-search probe and baseline step;
+  every SGD step, grid-search probe and baseline step, with a fresh
+  gradient array the caller may overwrite;
 - batch_losses_along(theta0, direction, s, batches): given float arrays,
   the loss of batches[i] at theta0 + s[i] * direction for every i in one
   call, for line-search rounds and cross_section_profile.
 
 Datasets are generated, never downloaded, so everything runs offline and
 the empirical-loss geometry stays checkable against closed forms or brute
-force. Each problem derives batch_gradient from batch_loss_and_gradient,
-and the quadratic and logistic ones batch_loss too, so each loss has one
-formula; MlpBlobs keeps a forward-only batch_loss, as its backprop costs
-several forward passes. NoisyQuadraticEnsemble's loss and gradient share
+force. Every problem inherits batch_gradient and batch_loss, derived from
+its batch_loss_and_gradient, from _Problem, so each loss has one formula;
+MlpBlobs keeps a forward-only batch_loss, as its backprop costs several
+forward passes. NoisyQuadraticEnsemble's loss and gradient share
 only theta - center, which it computes once.
 
 The quadratic and logistic batch_losses_along stack every load; MlpBlobs
@@ -97,25 +98,32 @@ class CrossSectionProfile:
 
 def cross_section_profile(problem, theta0, direction, s_grid) -> CrossSectionProfile:
     """Evaluate every training batch's loss at every step size on the line
-    theta0 + s * direction."""
+    theta0 + s * direction; an empty s_grid is a ValueError."""
     s_grid = np.asarray(s_grid, dtype=float)
+    if s_grid.size == 0:
+        raise ValueError("s_grid must hold at least one step size")
     theta0 = np.asarray(theta0, dtype=float)
     direction = np.asarray(direction, dtype=float)
     per_batch = np.array([
         problem.batch_losses_along(theta0, direction, s_grid, [batch] * s_grid.size)
         for batch in problem.train_batches
     ])
-    return CrossSectionProfile(
-        s_grid=s_grid,
-        per_batch=per_batch,
-        mean=per_batch.mean(axis=0),
-        q1=np.quantile(per_batch, 0.25, axis=0),
-        q2=np.quantile(per_batch, 0.50, axis=0),
-        q3=np.quantile(per_batch, 0.75, axis=0),
-    )
+    # Three calls' bytes, but for which of 0.0 and -0.0 a column of both gives.
+    q1, q2, q3 = np.quantile(per_batch, [0.25, 0.5, 0.75], axis=0)
+    return CrossSectionProfile(s_grid, per_batch, per_batch.mean(axis=0), q1, q2, q3)
 
 
-class NoisyQuadraticEnsemble:
+class _Problem:
+    """batch_loss and batch_gradient, each read off batch_loss_and_gradient."""
+
+    def batch_loss(self, theta, batch) -> float:
+        return self.batch_loss_and_gradient(theta, batch)[0]
+
+    def batch_gradient(self, theta, batch) -> np.ndarray:
+        return self.batch_loss_and_gradient(theta, batch)[1]
+
+
+class NoisyQuadraticEnsemble(_Problem):
     """Per-batch quadratics 0.5*(theta-b)' A (theta-b) + c with SPD A.
 
     The empirical loss is the exact average quadratic, so its minimizer and
@@ -158,12 +166,6 @@ class NoisyQuadraticEnsemble:
         indices = list(range(n_batches))
         self.train_batches = indices[: n_batches - n_val] if n_batches > 1 else indices
         self.validation_batches = indices[n_batches - n_val:] if n_batches > 1 else indices
-
-    def batch_loss(self, theta, batch: int) -> float:
-        return self.batch_loss_and_gradient(theta, batch)[0]
-
-    def batch_gradient(self, theta, batch: int) -> np.ndarray:
-        return self.batch_loss_and_gradient(theta, batch)[1]
 
     def batch_loss_and_gradient(self, theta, batch: int) -> tuple[float, np.ndarray]:
         # One theta - center for both. (0.5 d).dot(A).dot(d) sums as
@@ -315,7 +317,7 @@ def _split_batches(x, y, batch_size):
     ]
 
 
-class _Blobs:
+class _Blobs(_Problem):
     """Seeded Gaussian blobs around the class centers, labels drawn before
     noise and stored in the batches as LABEL_DTYPE; subclasses define
     batch_loss_and_gradient and batch_accuracy."""
@@ -331,12 +333,6 @@ class _Blobs:
         labels = classes.astype(self.LABEL_DTYPE, copy=False)
         self.train_batches = _split_batches(x[:n_train], labels[:n_train], batch_size)
         self.validation_batches = _split_batches(x[n_train:], labels[n_train:], batch_size)
-
-    def batch_loss(self, theta, batch) -> float:
-        return self.batch_loss_and_gradient(theta, batch)[0]
-
-    def batch_gradient(self, theta, batch) -> np.ndarray:
-        return self.batch_loss_and_gradient(theta, batch)[1]
 
     def training_accuracy(self, theta) -> float:
         return float(np.mean([self.batch_accuracy(theta, b) for b in self.train_batches]))

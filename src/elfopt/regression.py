@@ -98,12 +98,6 @@ def _vander(x: np.ndarray, columns: int) -> np.ndarray:
     return np.vander(x, min(columns, x.size), increasing=True)
 
 
-def _design(positions: np.ndarray, columns: int) -> tuple[np.ndarray, float, float]:
-    """_vander of the positions rescaled by _rescaled, and (mid, half)."""
-    x, mid, half = _rescaled(positions)
-    return _vander(x, columns), mid, half
-
-
 def _raw_coefficients(coef: np.ndarray, mid: float, half: float) -> np.ndarray:
     """Coefficients in s of q((s - mid) / half), where coef holds q's: Horner's
     rule on plain floats, raw <- raw * (a + b*s) + c_j with a = -mid/half and
@@ -130,7 +124,8 @@ def fit_polynomial(degree: int, samples: SampleSet) -> Polynomial:
         raise ValueError("degree must be >= 0")
     if len(samples) < degree + 1:
         raise ValueError(f"need at least degree+1={degree + 1} samples, got {len(samples)}")
-    return _least_squares(*_design(samples.positions, degree + 1), samples.losses)
+    x, mid, half = _rescaled(samples.positions)
+    return _least_squares(_vander(x, degree + 1), mid, half, samples.losses)
 
 
 def _least_squares(design: np.ndarray, mid: float, half: float, losses: np.ndarray) -> Polynomial:

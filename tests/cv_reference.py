@@ -17,11 +17,12 @@ from elfopt.regression import (
     STOP_RULE_TOL,
     FitReport,
     SampleSet,
-    _design,
     _fold_indices,
     _least_squares,
+    _rescaled,
     _scaled,
     _unscaled,
+    _vander,
 )
 
 
@@ -50,7 +51,8 @@ def cv_errors(design: np.ndarray, losses: np.ndarray, folds: int, rng: np.random
 def select_degree_and_fit(
     samples: SampleSet, max_degree: int, folds: int, rng: np.random.Generator
 ) -> FitReport:
-    design, mid, half = _design(samples.positions, max_degree + 1)
+    x, mid, half = _rescaled(samples.positions)
+    design = _vander(x, max_degree + 1)
     losses, e = _scaled(samples.losses)
     tol = STOP_RULE_TOL * float(np.mean(losses**2))
     errors: list[float] = []

@@ -192,7 +192,7 @@ def _run_phase(problem, config):
     state = _phase_state()
     streams = rng_streams(0)
     val = BatchStream(problem.validation_batches, streams.val_order)
-    trigger_line_searches(state, config, problem, val, streams.line_search, streams.cv)
+    trigger_line_searches(state, config, problem, val, streams)
     return state, state.log
 
 
@@ -239,7 +239,7 @@ def test_all_lines_invalid_keeps_previous_update_step():
     state.update_step = 0.123
     streams = rng_streams(0)
     val = BatchStream(problem.validation_batches, streams.val_order)
-    trigger_line_searches(state, config, problem, val, streams.line_search, streams.cv)
+    trigger_line_searches(state, config, problem, val, streams)
     assert state.update_step == 0.123
     assert (state.theta == 0.0).all()
 
@@ -287,7 +287,7 @@ def test_a_search_phase_holds_a_direction_and_a_buffer_per_round_worker():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        trigger_line_searches(state, config, problem, val, streams.line_search, streams.cv)
+        trigger_line_searches(state, config, problem, val, streams)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -295,6 +295,35 @@ def test_a_search_phase_holds_a_direction_and_a_buffer_per_round_worker():
     assert state.momentum_buffer is momentum and momentum.any()
     workers = problems._round_workers(256 * 256)
     assert (peak - start) / (problem.dim * 8) <= 4.0 + 1.5 * (workers - 1)
+
+
+def test_sgd_steps_and_grid_probes_normalize_the_gradient_in_place():
+    """Five _sgd_steps, and a 5-probe grid search, on a wide MLP each peak
+    below 2.9 parameter vectors above their start, while the theta they
+    started from is held: the previous step's theta, the oracle's gradient,
+    normalized and moved inside its own array, and backprop's activations.
+    A normalized copy of the gradient next to it peaked at 3.0."""
+    streams = rng_streams(0)
+    problem = MlpBlobs(n_train=1000, n_val=500, hidden1=256, hidden2=256, rng=streams.data)
+    theta = problem.initial_theta(streams.theta_init)
+    train = BatchStream(problem.train_batches, streams.train_order)
+    config = ElfConfig(grid_search_probe_steps=5)
+    phases = {
+        "sgd": lambda state: [controller._sgd_step(problem, state, train) for _ in range(5)],
+        "grid": lambda state: initial_grid_search(problem, config, train, state, 2000),
+    }
+    peaks = {}
+    for name, phase in phases.items():
+        state = OptimizerState(theta, np.zeros_like(theta), update_step=0.1,
+                               window_losses=np.empty(5))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            phase(state)
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - start) / (problem.dim * 8)
+        finally:
+            tracemalloc.stop()
+    assert all(peak < 2.9 for peak in peaks.values()), peaks
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +356,7 @@ def _grid_select(problem, candidates, probe_steps=20, theta0=None):
         momentum_buffer=np.zeros(1),
     )
     stream = BatchStream(problem.train_batches, rng_streams(0).train_order)
-    return initial_grid_search(problem, config, stream, state), state, state.log
+    return initial_grid_search(problem, config, stream, state, 2000), state, state.log
 
 
 def _simulate_probe(problem, theta0, step, probe_steps):
@@ -359,6 +388,27 @@ def test_grid_search_takes_largest_improving_candidate():
     selected, state, log = _grid_select(problem, (0.1, 0.01))
     assert selected == 0.1
     assert state.t == 2 * 20  # baseline + first candidate only
+
+
+def test_the_grid_pick_replaces_the_configured_first_interval_width(monkeypatch):
+    """With a grid search, every search's round-0 step sizes lie in
+    [0, the grid's pick], whatever elf.line.initial_interval_width says."""
+    picks = []
+    grid_search = controller.initial_grid_search
+
+    def spy(*args):
+        picks.append(grid_search(*args))
+        return picks[-1]
+
+    monkeypatch.setattr(controller, "initial_grid_search", spy)
+    streams = rng_streams(0)
+    config = ElfConfig(line_search=LineSearchConfig(initial_interval_width=1e6))
+    _, log = run(NoisyQuadraticEnsemble(rng=streams.data), config, 2000, streams)
+    assert len(picks) == 1 and picks[0] in config.grid_search_candidates
+    assert len(log.line_searches) > 1
+    for search in log.line_searches:
+        first_round = search.samples.positions[search.rounds == 0]
+        assert first_round.min() == 0.0 and first_round.max() <= picks[0]
 
 
 def test_grid_search_falls_back_to_smallest_candidate():
@@ -647,9 +697,9 @@ def test_unit_vector_is_the_numpy_quotient_on_ordinary_vectors():
     for vector in vectors:
         norm = np.linalg.norm(vector)
         if norm > 0.0:
-            assert unit_vector(vector).tobytes() == (vector / norm).tobytes()
+            assert unit_vector(vector.copy()).tobytes() == (vector / norm).tobytes()
         else:   # the sum of squares underflows at 1e-300
-            assert unit_vector(vector) is None
+            assert unit_vector(vector.copy()) is None
     # No direction where the norm is not positive, nor for its negation.
     for vector in (np.zeros(3), np.array([np.nan, 1.0])):
         assert unit_vector(vector) is None and unit_vector(-vector) is None
@@ -661,18 +711,27 @@ def test_unit_vector_is_the_numpy_quotient_on_ordinary_vectors():
     np.array([1.7e308, -1.7e308, 1e300]),                  # a norm past the float range
 ])
 def test_unit_vector_of_a_negated_vector_is_the_negated_unit_vector(vector):
-    # What trigger_line_searches rests on when it negates unit_vector's
-    # result in place instead of normalizing a negated copy.
+    # What keeps trigger_line_searches's unit_vector(np.negative(momentum))
+    # the negated unit vector of the momentum, bit for bit.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert unit_vector(-vector).tobytes() == (-unit_vector(vector)).tobytes()
+        assert unit_vector(-vector).tobytes() == (-unit_vector(vector.copy())).tobytes()
+
+
+def test_unit_vector_writes_into_its_vector_and_leaves_one_without_a_direction():
+    for vector in (np.array([3.0, 4.0]), np.array([1.7e308, -1.7e308, 1e300])):
+        assert unit_vector(vector) is vector
+        assert np.linalg.norm(vector) == pytest.approx(1.0, rel=1e-15)
+    for vector in (np.zeros(2), np.array([np.nan, 1.0])):
+        before = vector.tobytes()
+        assert unit_vector(vector) is None and vector.tobytes() == before
 
 
 def test_unit_vector_of_entries_past_1e154_warns_of_nothing():
     vector = np.full(20, 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert unit_vector(vector).tobytes() == (
+        assert unit_vector(vector.copy()).tobytes() == (
             vector / (1e200 * np.linalg.norm(vector / 1e200))).tobytes()
         mixed = np.random.default_rng(1).normal(size=50) * 1e250
         expected = mixed / (1e250 * np.linalg.norm(mixed / 1e250))
@@ -762,11 +821,11 @@ def test_unit_vector_is_the_plain_quotient_below_the_float_range():
         scale = np.max(np.abs(vector)) if exponent == 300 else 1.0
         # Past 1e154 the norm is scale times the scaled vector's.
         norm = scale * np.linalg.norm(vector / scale)
-        assert unit_vector(vector).tobytes() == (vector / norm).tobytes()
+        assert unit_vector(vector.copy()).tobytes() == (vector / norm).tobytes()
     # An infinite entry keeps the plain quotient, nan where inf / inf.
     vector = np.array([np.inf, 1.0])
     with np.errstate(invalid="ignore"):
-        assert unit_vector(vector).tobytes() == (vector / np.inf).tobytes()
+        assert unit_vector(vector.copy()).tobytes() == (vector / np.inf).tobytes()
 
 
 def test_run_aborts_on_divergence():
@@ -817,7 +876,7 @@ def test_divergence_inside_a_round_keeps_the_log_up_to_the_first_non_finite_load
     streams = rng_streams(0)
     stream = BatchStream(problem.train_batches, streams.val_order)
     with pytest.raises(DivergenceError) as raised:
-        trigger_line_searches(state, config, problem, stream, streams.line_search, streams.cv)
+        trigger_line_searches(state, config, problem, stream, streams)
     rows = raised.value.log.rows
     # The anchor and the round's first steps (up to 0.5) load; the round
     # stops at its first step past 0.5, partway through its 40 loads.

@@ -543,6 +543,27 @@ def test_single_batch_quartiles_collapse_onto_mean():
     np.testing.assert_array_equal(profile.q3, profile.mean)
 
 
+@pytest.mark.parametrize("index", range(3), ids=["quadratic", "logistic", "mlp"])
+def test_an_empty_step_grid_is_a_value_error_naming_s_grid(index):
+    problem = _all_problems()[index]
+    theta0 = problem.initial_theta(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="s_grid"):
+        cross_section_profile(problem, theta0, np.ones(theta0.size), [])
+
+
+@pytest.mark.parametrize("index", range(3), ids=["quadratic", "logistic", "mlp"])
+def test_cross_section_quartiles_are_each_columns_np_quantile(index):
+    problem = _all_problems()[index]
+    rng = np.random.default_rng(13)
+    theta0 = problem.initial_theta(rng)
+    profile = cross_section_profile(problem, theta0, rng.normal(size=theta0.size),
+                                    np.linspace(-1.0, 2.0, 31))
+    columns = profile.per_batch.T
+    assert all(np.unique(column).size > 1 for column in columns)
+    for quartile, q in ((profile.q1, 0.25), (profile.q2, 0.5), (profile.q3, 0.75)):
+        assert quartile.tobytes() == np.array([np.quantile(c, q) for c in columns]).tobytes()
+
+
 def test_cross_section_at_zero_equals_empirical_loss():
     problem = NoisyQuadraticEnsemble(n_batches=15, dim=5, rng=np.random.default_rng(11))
     theta0 = problem.initial_theta(np.random.default_rng(12))

@@ -12,7 +12,6 @@ from elfopt.regression import (
     FIRST_BLOCK,
     STOP_RULE_TOL,
     SampleSet,
-    _design,
     _cv_errors,
     _fold_indices,
     _least_squares,
@@ -20,6 +19,7 @@ from elfopt.regression import (
     _rescaled,
     _scaled,
     _unscaled,
+    _vander,
     fit_polynomial,
     select_degree_and_fit,
 )
@@ -289,7 +289,8 @@ def test_refit_on_the_sweeps_design_is_fit_polynomials_bit_for_bit(n):
     positions = rng.uniform(0.0, 3.0, n)
     losses = np.cos(2.0 * positions) + rng.normal(scale=0.1, size=n)
     samples = SampleSet(positions, losses)
-    design, mid, half = _design(positions, 11)
+    x, mid, half = _rescaled(positions)
+    design = _vander(x, 11)
     for degree in range(11):
         refit = _least_squares(design[:, : degree + 1], mid, half, losses)
         want = fit_polynomial(degree, samples)
